@@ -333,33 +333,36 @@ fn bench_switch_cross_pe(cfg: MicrobenchConfig, audit: bool) -> OpMeasurement {
         }
         let up = tx.add_stream("S1:uplink", 8, 1);
         tx.mark_stream_outbound(up);
-        tx.spawn("T1:send", move |ctx| {
+        tx.spawn("T1:send", async move |ctx| {
             let mut left = ops;
             while left > 0 {
                 let chunk = left.min(4);
-                ctx.call(|ctx| {
+                ctx.call(async |ctx| {
                     ctx.compute(2);
                     for i in 0..chunk {
-                        ctx.write_byte(up, (i & 0xff) as u8)?;
+                        ctx.write_byte(up, (i & 0xff) as u8).await?;
                     }
                     Ok(())
-                })?;
+                })
+                .await?;
                 left -= chunk;
             }
-            ctx.close_writer(up)
+            ctx.close_writer(up).await
         });
         let down = rx.add_stream("S1:inbound", 8, 1);
         rx.mark_stream_inbound(down);
-        rx.spawn("T1:recv", move |ctx| loop {
-            let eof = ctx.call(|ctx| {
-                ctx.compute(2);
-                for _ in 0..4 {
-                    if ctx.read_byte(down)?.is_none() {
-                        return Ok(true);
+        rx.spawn("T1:recv", async move |ctx| loop {
+            let eof = ctx
+                .call(async |ctx| {
+                    ctx.compute(2);
+                    for _ in 0..4 {
+                        if ctx.read_byte(down).await?.is_none() {
+                            return Ok(true);
+                        }
                     }
-                }
-                Ok(false)
-            })?;
+                    Ok(false)
+                })
+                .await?;
             if eof {
                 return Ok(());
             }

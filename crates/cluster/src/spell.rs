@@ -117,21 +117,24 @@ pub fn run_spell_cluster(
         if npes > 1 {
             let sinks: Vec<Arc<Mutex<Vec<u8>>>> = remote_sinks.iter().map(Arc::clone).collect();
             let streams = inbound.clone();
-            sim.spawn("T8:collect", move |ctx| {
+            sim.spawn("T8:collect", async move |ctx| {
                 for (k, s) in streams.iter().enumerate() {
                     loop {
-                        let eof = ctx.call(|ctx| {
-                            ctx.compute(2);
-                            for _ in 0..4 {
-                                match ctx.read_byte(*s)? {
-                                    Some(b) => {
-                                        sinks[k].lock().expect("collector sink poisoned").push(b)
+                        let eof = ctx
+                            .call(async |ctx| {
+                                ctx.compute(2);
+                                for _ in 0..4 {
+                                    match ctx.read_byte(*s).await? {
+                                        Some(b) => sinks[k]
+                                            .lock()
+                                            .expect("collector sink poisoned")
+                                            .push(b),
+                                        None => return Ok(true),
                                     }
-                                    None => return Ok(true),
                                 }
-                            }
-                            Ok(false)
-                        })?;
+                                Ok(false)
+                            })
+                            .await?;
                         if eof {
                             break;
                         }

@@ -49,7 +49,7 @@ impl SyntheticSpec {
 /// stream I/O at the *bottom* frame — where real code's `getc`/`putc`
 /// sit, and where blocking must happen for resumed threads to re-enter
 /// their dead windows trap-free (see `regwin-spell`'s T1).
-fn pump_item(
+async fn pump_item(
     ctx: &mut Ctx,
     depth: usize,
     compute: u64,
@@ -57,56 +57,52 @@ fn pump_item(
     output: StreamId,
     inject: Option<u8>,
 ) -> Result<bool, RtError> {
-    ctx.call(|ctx| {
+    ctx.call(async |ctx| {
         ctx.compute(compute);
         if depth > 0 {
-            return pump_item(ctx, depth - 1, compute, input, output, inject);
+            return Box::pin(pump_item(ctx, depth - 1, compute, input, output, inject)).await;
         }
         let byte = match (input, inject) {
-            (Some(input), _) => match ctx.read_byte(input)? {
+            (Some(input), _) => match ctx.read_byte(input).await? {
                 Some(b) => b,
                 None => return Ok(false),
             },
             (None, Some(b)) => b,
             (None, None) => return Ok(false),
         };
-        ctx.write_byte(output, byte)?;
+        ctx.write_byte(output, byte).await?;
         Ok(true)
     })
+    .await
 }
 
-fn stage_body(
+async fn stage_body(
+    ctx: &mut Ctx,
     input: Option<StreamId>,
     output: StreamId,
     spec: SyntheticSpec,
-) -> impl FnOnce(&mut Ctx) -> Result<(), RtError> + Send + 'static {
-    move |ctx| {
-        match input {
-            None => {
-                // The generator: inject items through its call chain.
-                for i in 0..spec.items {
-                    pump_item(
-                        ctx,
-                        spec.call_depth,
-                        spec.compute_per_frame,
-                        None,
-                        output,
-                        Some((i % 251) as u8),
-                    )?;
-                }
-                ctx.close_writer(output)
-            }
-            Some(input) => {
-                while pump_item(
+) -> Result<(), RtError> {
+    match input {
+        None => {
+            // The generator: inject items through its call chain.
+            for i in 0..spec.items {
+                pump_item(
                     ctx,
                     spec.call_depth,
                     spec.compute_per_frame,
-                    Some(input),
-                    output,
                     None,
-                )? {}
-                ctx.close_writer(output)
+                    output,
+                    Some((i % 251) as u8),
+                )
+                .await?;
             }
+            ctx.close_writer(output).await
+        }
+        Some(input) => {
+            while pump_item(ctx, spec.call_depth, spec.compute_per_frame, Some(input), output, None)
+                .await?
+            {}
+            ctx.close_writer(output).await
         }
     }
 }
@@ -129,12 +125,12 @@ fn build(
     for i in 0..spec.threads {
         let input = if i == 0 { None } else { Some(streams[i - 1]) };
         let output = streams[i];
-        sim.spawn(format!("stage{i}"), stage_body(input, output, spec));
+        sim.spawn(format!("stage{i}"), async move |ctx| stage_body(ctx, input, output, spec).await);
     }
     // A sink drains the last ring stream.
     let last = streams[spec.threads - 1];
-    sim.spawn("sink", move |ctx| {
-        while ctx.call(|ctx| ctx.read_byte(last))?.is_some() {
+    sim.spawn("sink", async move |ctx| {
+        while ctx.call(async |ctx| ctx.read_byte(last).await).await?.is_some() {
             ctx.compute(1);
         }
         Ok(())

@@ -208,7 +208,7 @@ impl Workload {
                 output: t.output.map(|i| ids[i]),
                 steps: t.steps.clone(),
             };
-            sim.spawn(t.name.clone(), move |ctx| prog.run(ctx));
+            sim.spawn(t.name.clone(), async move |ctx| prog.run(ctx).await);
         }
     }
 }
@@ -223,27 +223,27 @@ struct ResolvedProgram {
 }
 
 impl ResolvedProgram {
-    fn run(self, ctx: &mut Ctx) -> Result<(), RtError> {
+    async fn run(self, ctx: &mut Ctx) -> Result<(), RtError> {
         for step in &self.steps {
-            self.exec(ctx, step.depth, step)?;
+            self.exec(ctx, step.depth, step).await?;
         }
         // Epilogue: drain end-of-stream, then close downstream.
         if let Some(input) = self.input {
-            if let Some(extra) = ctx.read_byte(input)? {
+            if let Some(extra) = ctx.read_byte(input).await? {
                 return Err(RtError::Internal {
                     detail: format!("generated stream carried unexpected trailing byte {extra:#x}"),
                 });
             }
         }
         if let Some(output) = self.output {
-            ctx.close_writer(output)?;
+            ctx.close_writer(output).await?;
         }
         Ok(())
     }
 
-    fn exec(&self, ctx: &mut Ctx, depth: u8, step: &Step) -> Result<(), RtError> {
+    async fn exec(&self, ctx: &mut Ctx, depth: u8, step: &Step) -> Result<(), RtError> {
         if depth > 0 {
-            return ctx.call(|ctx| self.exec(ctx, depth - 1, step));
+            return ctx.call(async |ctx| Box::pin(self.exec(ctx, depth - 1, step)).await).await;
         }
         if step.compute > 0 {
             ctx.compute(u64::from(step.compute));
@@ -252,12 +252,13 @@ impl ResolvedProgram {
             StepIo::None => Ok(()),
             StepIo::Write(b) => {
                 ctx.write_byte(self.output.expect("writer step on a thread with no output"), b)
+                    .await
             }
             StepIo::Forward => {
                 let input = self.input.expect("forward step on a thread with no input");
                 let output = self.output.expect("forward step on a thread with no output");
-                match ctx.read_byte(input)? {
-                    Some(b) => ctx.write_byte(output, b.wrapping_add(1)),
+                match ctx.read_byte(input).await? {
+                    Some(b) => ctx.write_byte(output, b.wrapping_add(1)).await,
                     None => Err(RtError::Internal {
                         detail: "generated stream ended before the program did".into(),
                     }),
@@ -265,7 +266,7 @@ impl ResolvedProgram {
             }
             StepIo::ReadExpect(want) => {
                 let input = self.input.expect("read step on a thread with no input");
-                match ctx.read_byte(input)? {
+                match ctx.read_byte(input).await? {
                     Some(got) if got == want => Ok(()),
                     Some(got) => Err(RtError::Internal {
                         detail: format!("generated sink expected {want:#x}, got {got:#x}"),
@@ -340,5 +341,20 @@ mod tests {
             let report = sim.run().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(report.stats.context_switches > 0, "seed {seed} never switched");
         }
+    }
+
+    #[test]
+    fn maximum_step_depth_runs_without_stack_overflow() {
+        // A step at depth `u8::MAX` nests 255 call frames, each one a
+        // boxed future polled through every frame above it.
+        let mut wl = Workload::synthesize(&WorkloadSpec::from_seed(0));
+        for t in &mut wl.threads {
+            t.steps[0].depth = u8::MAX;
+        }
+        let mut sim = Simulation::new(6, SchemeKind::Sp).unwrap();
+        wl.install(&mut sim);
+        let report = sim.run().unwrap();
+        let per_thread = u64::from(u8::MAX);
+        assert!(report.threads.iter().all(|t| t.saves >= per_thread), "{:?}", report.threads);
     }
 }

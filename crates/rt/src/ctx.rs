@@ -1,27 +1,29 @@
 //! The API a thread body programs against.
 
 use crate::error::RtError;
-use crate::sim::{Shared, SimState, Turn, Wait};
+use crate::sim::{SharedState, SimState, Wait};
 use crate::stream::{RemoteEnd, StreamId};
 use crate::trace::TraceEvent;
-use parking_lot::MutexGuard;
 use regwin_machine::ThreadId;
 use regwin_obs::Metric;
 use regwin_traps::RestoreInstr;
-use std::sync::Arc;
+use std::cell::RefMut;
+use std::future::poll_fn;
+use std::task::Poll;
 
 /// Handle through which a simulated thread computes, calls procedures and
 /// performs stream I/O. Every operation is accounted on the simulated CPU;
-/// blocking operations suspend the thread and hand control to the
-/// scheduler, exactly as the paper's non-preemptive runtime does.
+/// blocking operations are `async`: they suspend the thread and hand
+/// control back to the scheduler, exactly as the paper's non-preemptive
+/// runtime does.
 pub struct Ctx {
-    shared: Arc<Shared>,
+    state: SharedState,
     tid: ThreadId,
 }
 
 impl Ctx {
-    pub(crate) fn new(shared: Arc<Shared>, tid: ThreadId) -> Self {
-        Ctx { shared, tid }
+    pub(crate) fn new(state: SharedState, tid: ThreadId) -> Self {
+        Ctx { state, tid }
     }
 
     /// This thread's id.
@@ -29,54 +31,32 @@ impl Ctx {
         self.tid
     }
 
-    fn lock(&self) -> MutexGuard<'_, SimState> {
-        let st = self.shared.state.lock();
-        debug_assert_eq!(st.turn, Turn::Worker(self.tid), "ctx op outside the thread's turn");
-        st
+    /// The simulation state. Callers drop the borrow before any
+    /// `.await`.
+    fn state(&self) -> RefMut<'_, SimState> {
+        self.state.borrow_mut()
     }
 
     /// Charges `cycles` of application compute to the simulated CPU.
     pub fn compute(&mut self, cycles: u64) {
-        let mut st = self.lock();
+        let mut st = self.state();
         st.record(TraceEvent::Compute(cycles));
         st.cpu.compute(cycles);
     }
 
-    /// Performs a procedure call: executes `save`, runs `f`, then
-    /// executes `restore` — the fundamental operation whose cost the
-    /// register windows exist to minimise.
+    /// Performs a procedure call: executes `save`, runs the async body
+    /// `f`, then executes `restore` — the fundamental operation whose
+    /// cost the register windows exist to minimise. A recursive body
+    /// boxes its future at the recursion point (`Box::pin`).
     ///
     /// # Errors
     ///
     /// Propagates errors from `f` and from the window machinery.
-    pub fn call<R>(
+    pub async fn call<R>(
         &mut self,
-        f: impl FnOnce(&mut Ctx) -> Result<R, RtError>,
+        f: impl AsyncFnOnce(&mut Ctx) -> Result<R, RtError>,
     ) -> Result<R, RtError> {
-        {
-            let mut st = self.lock();
-            st.record(TraceEvent::Save);
-            st.cpu.save()?;
-        }
-        let result = f(self);
-        // The restore must happen even if the body failed, to keep the
-        // simulated stack balanced for diagnostics; the body error wins.
-        // If the thread lost its turn while the body was blocked (the
-        // sim stopped or the thread was quarantined), the shared
-        // machine is no longer ours to touch — skip the balancing
-        // restore and let the body's abort error propagate.
-        let restored = {
-            let mut st = self.shared.state.lock();
-            if st.turn == Turn::Worker(self.tid) && !st.stop {
-                st.record(TraceEvent::Restore);
-                st.cpu.restore()
-            } else {
-                Ok(())
-            }
-        };
-        let value = result?;
-        restored?;
-        Ok(value)
+        self.framed(None, f).await
     }
 
     /// Like [`Ctx::call`], but the return uses the peephole-optimised
@@ -85,25 +65,35 @@ impl Ctx {
     /// # Errors
     ///
     /// Propagates errors from `f` and from the window machinery.
-    pub fn call_with_restore_add<R>(
+    pub async fn call_with_restore_add<R>(
         &mut self,
         instr: RestoreInstr,
-        f: impl FnOnce(&mut Ctx) -> Result<R, RtError>,
+        f: impl AsyncFnOnce(&mut Ctx) -> Result<R, RtError>,
+    ) -> Result<R, RtError> {
+        self.framed(Some(instr), f).await
+    }
+
+    /// `save`, the body `f`, then a plain `restore` or, with `instr`,
+    /// its restore-with-add form.
+    async fn framed<R>(
+        &mut self,
+        instr: Option<RestoreInstr>,
+        f: impl AsyncFnOnce(&mut Ctx) -> Result<R, RtError>,
     ) -> Result<R, RtError> {
         {
-            let mut st = self.lock();
+            let mut st = self.state();
             st.record(TraceEvent::Save);
             st.cpu.save()?;
         }
-        let result = f(self);
-        // Same lost-turn guard as [`Ctx::call`].
+        let result = f(self).await;
+        // The restore must happen even if the body failed, to keep the
+        // simulated stack balanced for diagnostics; the body error wins.
         let restored = {
-            let mut st = self.shared.state.lock();
-            if st.turn == Turn::Worker(self.tid) && !st.stop {
-                st.record(TraceEvent::Restore);
-                st.cpu.restore_with(&instr)
-            } else {
-                Ok(())
+            let mut st = self.state();
+            st.record(TraceEvent::Restore);
+            match &instr {
+                Some(instr) => st.cpu.restore_with(instr),
+                None => st.cpu.restore(),
             }
         };
         let value = result?;
@@ -111,17 +101,26 @@ impl Ctx {
         Ok(value)
     }
 
+    /// Runs `attempt` against the simulation state until it is ready.
+    /// An attempt that must block registers the thread's [`Wait`] and
+    /// returns `Pending`, which yields the thread's turn; only the
+    /// scheduler's next dispatch of this thread polls it again, so no
+    /// waker is needed. The state borrow ends before the thread yields.
+    async fn block_on<T>(&self, mut attempt: impl FnMut(&mut SimState) -> Poll<T>) -> T {
+        poll_fn(|_| attempt(&mut self.state())).await
+    }
+
     /// Reads one byte from `stream`, blocking (and context-switching)
     /// while it is empty. Returns `None` at end-of-stream.
     ///
     /// # Errors
     ///
-    /// Fails if the simulation is aborted while blocked.
-    pub fn read_byte(&mut self, stream: StreamId) -> Result<Option<u8>, RtError> {
-        loop {
-            let mut st = self.lock();
+    /// Fails on an unknown stream id or an injected stream-read fault.
+    pub async fn read_byte(&mut self, stream: StreamId) -> Result<Option<u8>, RtError> {
+        let tid = self.tid;
+        self.block_on(|st| {
             if st.streams.get(stream.0).is_none() {
-                return Err(RtError::UnknownStream(stream.0));
+                return Poll::Ready(Err(RtError::UnknownStream(stream.0)));
             }
             if !st.streams[stream.0].is_empty() {
                 // Consult the fault plan before touching the stream, so
@@ -130,24 +129,25 @@ impl Ctx {
                 let index = st.stream_reads_seen;
                 st.stream_reads_seen += 1;
                 if st.stream_read_fails.remove(&index) {
-                    return Err(RtError::FaultInjected { site: "stream-read", index });
+                    return Poll::Ready(Err(RtError::FaultInjected { site: "stream-read", index }));
                 }
-                let b = st.streams[stream.0].pop().expect("non-empty under the lock");
+                let b = st.streams[stream.0].pop().expect("non-empty stream");
                 let cycles = st.stream_byte_cycles;
                 st.record(TraceEvent::Compute(cycles));
                 st.cpu.compute(cycles);
                 st.bump(Metric::StreamBytesRead, 1);
                 st.wake_one_writer(stream);
-                return Ok(Some(b));
+                return Poll::Ready(Ok(Some(b)));
             }
             if st.streams[stream.0].is_closed() {
-                return Ok(None);
+                return Poll::Ready(Ok(None));
             }
-            st.waiting.insert(self.tid, Wait::ReadEmpty(stream));
-            st.blocked_on_read[self.tid.index()] += 1;
+            st.waiting.insert(tid, Wait::ReadEmpty(stream));
+            st.blocked_on_read[tid.index()] += 1;
             st.bump(Metric::StreamWaitsRead, 1);
-            self.block(st)?;
-        }
+            Poll::Pending
+        })
+        .await
     }
 
     /// Writes one byte to `stream`, blocking (and context-switching)
@@ -155,15 +155,16 @@ impl Ctx {
     ///
     /// # Errors
     ///
-    /// Fails if the stream is fully closed or the simulation aborts.
-    pub fn write_byte(&mut self, stream: StreamId, byte: u8) -> Result<(), RtError> {
-        loop {
-            let mut st = self.lock();
+    /// Fails if the stream is fully closed, on an unknown stream id or
+    /// on an injected stream-write fault.
+    pub async fn write_byte(&mut self, stream: StreamId, byte: u8) -> Result<(), RtError> {
+        let tid = self.tid;
+        self.block_on(|st| {
             if st.streams.get(stream.0).is_none() {
-                return Err(RtError::UnknownStream(stream.0));
+                return Poll::Ready(Err(RtError::UnknownStream(stream.0)));
             }
             if st.streams[stream.0].is_closed() {
-                return Err(RtError::WriteAfterClose(stream.0));
+                return Poll::Ready(Err(RtError::WriteAfterClose(stream.0)));
             }
             if !st.streams[stream.0].is_full() {
                 // Fault check before the push: a failed write must not
@@ -171,10 +172,13 @@ impl Ctx {
                 let index = st.stream_writes_seen;
                 st.stream_writes_seen += 1;
                 if st.stream_write_fails.remove(&index) {
-                    return Err(RtError::FaultInjected { site: "stream-write", index });
+                    return Poll::Ready(Err(RtError::FaultInjected {
+                        site: "stream-write",
+                        index,
+                    }));
                 }
                 let pushed = st.streams[stream.0].push(byte);
-                debug_assert!(pushed, "non-full under the lock");
+                debug_assert!(pushed, "non-full stream");
                 let cycles = st.stream_byte_cycles;
                 st.record(TraceEvent::Compute(cycles));
                 st.cpu.compute(cycles);
@@ -186,13 +190,14 @@ impl Ctx {
                     st.streams[stream.0].note_send_tick(tick);
                 }
                 st.wake_one_reader(stream);
-                return Ok(());
+                return Poll::Ready(Ok(()));
             }
-            st.waiting.insert(self.tid, Wait::WriteFull(stream));
-            st.blocked_on_write[self.tid.index()] += 1;
+            st.waiting.insert(tid, Wait::WriteFull(stream));
+            st.blocked_on_write[tid.index()] += 1;
             st.bump(Metric::StreamWaitsWrite, 1);
-            self.block(st)?;
-        }
+            Poll::Pending
+        })
+        .await
     }
 
     /// Writes a whole byte slice, blocking as needed.
@@ -204,9 +209,9 @@ impl Ctx {
     /// # Errors
     ///
     /// Same conditions as [`Ctx::write_byte`].
-    pub fn write_all(&mut self, stream: StreamId, bytes: &[u8]) -> Result<(), RtError> {
+    pub async fn write_all(&mut self, stream: StreamId, bytes: &[u8]) -> Result<(), RtError> {
         for &b in bytes {
-            self.write_byte(stream, b)?;
+            self.write_byte(stream, b).await?;
         }
         Ok(())
     }
@@ -223,9 +228,9 @@ impl Ctx {
     /// # Errors
     ///
     /// Same conditions as [`Ctx::write_byte`].
-    pub fn write_record(&mut self, stream: StreamId, bytes: &[u8]) -> Result<(), RtError> {
-        self.lock_record(stream)?;
-        let result = self.write_all(stream, bytes);
+    pub async fn write_record(&mut self, stream: StreamId, bytes: &[u8]) -> Result<(), RtError> {
+        self.lock_record(stream).await?;
+        let result = self.write_all(stream, bytes).await;
         // Release even when the write failed, so other writers are not
         // wedged behind a dead record.
         self.unlock_record(stream);
@@ -234,44 +239,46 @@ impl Ctx {
 
     /// Acquires the record lock on `stream`, blocking (and
     /// context-switching) while another writer holds it.
-    fn lock_record(&mut self, stream: StreamId) -> Result<(), RtError> {
-        loop {
-            let mut st = self.lock();
+    async fn lock_record(&mut self, stream: StreamId) -> Result<(), RtError> {
+        let tid = self.tid;
+        self.block_on(|st| {
             if st.streams.get(stream.0).is_none() {
-                return Err(RtError::UnknownStream(stream.0));
+                return Poll::Ready(Err(RtError::UnknownStream(stream.0)));
             }
             match st.record_locks.get(&stream) {
                 None => {
-                    st.record_locks.insert(stream, self.tid);
-                    return Ok(());
+                    st.record_locks.insert(stream, tid);
+                    Poll::Ready(Ok(()))
                 }
                 Some(owner) => {
-                    debug_assert_ne!(*owner, self.tid, "record lock is not reentrant");
-                    st.waiting.insert(self.tid, Wait::WriteLocked(stream));
-                    st.blocked_on_write[self.tid.index()] += 1;
+                    debug_assert_ne!(*owner, tid, "record lock is not reentrant");
+                    st.waiting.insert(tid, Wait::WriteLocked(stream));
+                    st.blocked_on_write[tid.index()] += 1;
                     st.bump(Metric::StreamWaitsWrite, 1);
-                    self.block(st)?;
+                    Poll::Pending
                 }
             }
-        }
+        })
+        .await
     }
 
     /// Releases the record lock on `stream` and wakes one waiting writer.
     fn unlock_record(&mut self, stream: StreamId) {
-        let mut st = self.lock();
+        let mut st = self.state();
         if st.record_locks.remove(&stream).is_some() {
             st.wake_one_lock_waiter(stream);
         }
     }
 
     /// Closes this thread's writer end of `stream`, waking blocked
-    /// readers so they can observe end-of-stream.
+    /// readers so they can observe end-of-stream. Never suspends; it is
+    /// `async` like every other stream operation.
     ///
     /// # Errors
     ///
     /// Fails on an unknown stream id.
-    pub fn close_writer(&mut self, stream: StreamId) -> Result<(), RtError> {
-        let mut st = self.lock();
+    pub async fn close_writer(&mut self, stream: StreamId) -> Result<(), RtError> {
+        let mut st = self.state();
         if st.streams.get(stream.0).is_none() {
             return Err(RtError::UnknownStream(stream.0));
         }
@@ -292,7 +299,7 @@ impl Ctx {
     ///
     /// Propagates machine errors.
     pub fn write_local(&mut self, reg: usize, value: u64) -> Result<(), RtError> {
-        Ok(self.lock().cpu.write_local(reg, value)?)
+        Ok(self.state().cpu.write_local(reg, value)?)
     }
 
     /// Reads a `local` register of the thread's current window.
@@ -301,21 +308,7 @@ impl Ctx {
     ///
     /// Propagates machine errors.
     pub fn read_local(&mut self, reg: usize) -> Result<u64, RtError> {
-        Ok(self.lock().cpu.read_local(reg)?)
-    }
-
-    /// Suspends this thread until the scheduler dispatches it again. The
-    /// waiting-reason must already be registered in `st`.
-    fn block(&self, mut st: MutexGuard<'_, SimState>) -> Result<(), RtError> {
-        st.turn = Turn::Scheduler;
-        self.shared.sched_cv.notify_one();
-        while st.turn != Turn::Worker(self.tid) && !st.stop {
-            self.shared.worker_cv(self.tid).wait(&mut st);
-        }
-        if st.stop {
-            return Err(RtError::Aborted);
-        }
-        Ok(())
+        Ok(self.state().cpu.read_local(reg)?)
     }
 }
 

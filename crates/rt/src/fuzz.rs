@@ -20,7 +20,7 @@
 //!
 //! With `budget == 0` the wrapper is a strict pass-through: no draws
 //! are taken and every call forwards verbatim, so `Fuzzed<FifoPolicy>`
-//! with an empty budget is byte-identical to plain [`FifoPolicy`] (a
+//! with an empty budget is byte-identical to plain [`FifoPolicy`](crate::FifoPolicy) (a
 //! property test pins this down).
 
 use crate::fault::splitmix64;

@@ -19,10 +19,13 @@
 //!   pair on the simulated CPU (via [`Ctx::call`]), so the window
 //!   activity of the workload is what drives the schemes' behaviour.
 //!
-//! Thread bodies are ordinary Rust closures driven on dedicated OS
-//! threads, but *exactly one* simulated thread executes at a time, gated
-//! by the scheduler — execution is fully deterministic and independent of
-//! OS scheduling.
+//! Thread bodies are async Rust closures. Every simulated thread is a
+//! coroutine on the OS thread that runs the simulation: the scheduler
+//! polls the one future its policy picked, and a blocking stream
+//! operation (`.await` on [`Ctx::read_byte`], [`Ctx::write_byte`], …)
+//! suspends it and returns control to the scheduler. Execution is fully
+//! deterministic, and a context switch costs no OS handoff. Bodies need
+//! not be `Send`.
 //!
 //! ```rust
 //! use regwin_rt::{SchedulingPolicy, Simulation};
@@ -31,15 +34,15 @@
 //! # fn main() -> Result<(), regwin_rt::RtError> {
 //! let mut sim = Simulation::new(8, SchemeKind::Sp)?;
 //! let pipe = sim.add_stream("pipe", 4, 1);
-//! sim.spawn("producer", move |ctx| {
+//! sim.spawn("producer", async move |ctx| {
 //!     for b in 0u8..16 {
-//!         ctx.write_byte(pipe, b)?;
+//!         ctx.write_byte(pipe, b).await?;
 //!     }
-//!     ctx.close_writer(pipe)
+//!     ctx.close_writer(pipe).await
 //! });
-//! sim.spawn("consumer", move |ctx| {
+//! sim.spawn("consumer", async move |ctx| {
 //!     let mut sum = 0u64;
-//!     while let Some(b) = ctx.read_byte(pipe)? {
+//!     while let Some(b) = ctx.read_byte(pipe).await? {
 //!         sum += u64::from(b);
 //!     }
 //!     assert_eq!(sum, 120);

@@ -1,10 +1,14 @@
 //! The simulation driver: deterministic non-preemptive execution of
 //! thread bodies over the simulated CPU.
 //!
-//! Each simulated thread runs on a dedicated OS thread, but a single
-//! turn-token (guarded by one mutex) ensures exactly one of them — or the
-//! scheduler — executes at any moment. Execution order therefore depends
-//! only on the workload and the scheduling policy, never on the OS.
+//! Every simulated thread is a coroutine — the future of its async body
+//! — and all of them run on the calling OS thread. The scheduler loop in
+//! [`StartedSim::step`] picks the next thread with the run's
+//! [`SchedPolicy`] and polls that thread's future once; the body runs
+//! until it finishes or a blocking [`Ctx`] operation registers what it
+//! waits for and yields. Nothing else ever polls a body, so no wakers,
+//! locks or OS handoffs exist, and execution order depends only on the
+//! workload and the scheduling policy.
 
 use crate::ctx::Ctx;
 use crate::error::RtError;
@@ -13,23 +17,29 @@ use crate::report::{RunReport, ThreadReport};
 use crate::sched::{ReadyQueue, SchedPolicy, SchedulingPolicy, WakeInfo};
 use crate::stream::{RemoteEnd, Stream, StreamId};
 use crate::trace::{Trace, TraceEvent};
-use parking_lot::{Condvar, Mutex};
 use regwin_machine::{MachineConfig, ThreadId, WindowIndex};
 use regwin_obs::{Metric, Probe, ProbeEvent, SpanKind};
 use regwin_traps::{build_scheme, Cpu, Scheme, SchemeKind};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
+use std::rc::Rc;
+use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
-/// A thread body: a closure run once on its own coroutine, communicating
-/// and computing exclusively through the [`Ctx`] it receives.
-pub type ThreadBody = Box<dyn FnOnce(&mut Ctx) -> Result<(), RtError> + Send + 'static>;
+/// A spawned thread as the scheduler holds it: the future of the async
+/// body passed to [`Simulation::spawn`], owning the [`Ctx`] the body
+/// computes and communicates through. The scheduler polls it once per
+/// dispatch; it completes when the body returns.
+pub type ThreadBody = Pin<Box<dyn Future<Output = Result<(), RtError>>>>;
 
-/// Whose turn it is to execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Turn {
-    Scheduler,
-    Worker(ThreadId),
-}
+/// The simulation state, shared by the scheduler and every thread's
+/// [`Ctx`] on the one OS thread that runs them. Borrows are never held
+/// across an `.await`, so the scheduler and a running body never
+/// overlap.
+pub(crate) type SharedState = Rc<RefCell<SimState>>;
 
 /// What a blocked thread is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,12 +56,14 @@ pub(crate) struct SimState {
     pub(crate) streams: Vec<Stream>,
     pub(crate) ready: ReadyQueue,
     pub(crate) waiting: BTreeMap<ThreadId, Wait>,
-    pub(crate) turn: Turn,
     pub(crate) finished: Vec<bool>,
     /// Threads abandoned after unrecoverable window corruption (their
     /// machine state was evicted; the rest of the run continues).
     pub(crate) quarantined: Vec<bool>,
     pub(crate) error: Option<RtError>,
+    /// Raised when the scheduler loop ends the run on an error; a later
+    /// [`StartedSim::step`] returns the recorded error (or a typed
+    /// internal one) instead of running.
     pub(crate) stop: bool,
     pub(crate) names: Vec<String>,
     pub(crate) blocked_on_read: Vec<u64>,
@@ -185,37 +197,6 @@ impl SimState {
     }
 }
 
-pub(crate) struct Shared {
-    pub(crate) state: Mutex<SimState>,
-    pub(crate) sched_cv: Condvar,
-    /// One condvar per worker thread, sized at run start. The turn
-    /// protocol admits exactly one runnable worker at a time, so the
-    /// scheduler wakes precisely that worker's condvar — a shared
-    /// condvar would make every dispatch a thundering herd in which
-    /// all parked workers wake, contend for the state lock, find it is
-    /// not their turn, and park again (two futex round-trips per
-    /// bystander per context switch).
-    pub(crate) worker_cvs: OnceLock<Box<[Condvar]>>,
-}
-
-impl Shared {
-    /// The dispatch condvar worker `tid` parks on. Only callable after
-    /// the run has started (the slice is sized when workers spawn).
-    pub(crate) fn worker_cv(&self, tid: ThreadId) -> &Condvar {
-        &self.worker_cvs.get().expect("worker condvars sized at run start")[tid.index()]
-    }
-
-    /// Wakes every parked worker (stop/teardown paths). Each condvar
-    /// has at most one waiter, so `notify_one` per condvar suffices.
-    pub(crate) fn notify_all_workers(&self) {
-        if let Some(cvs) = self.worker_cvs.get() {
-            for cv in cvs.iter() {
-                cv.notify_one();
-            }
-        }
-    }
-}
-
 /// The run options every harness threads through [`Simulation`]
 /// construction: scheduling, auditing, tracing, fault injection. One
 /// [`Simulation::assemble`] call applies them all, so the spell
@@ -241,8 +222,8 @@ pub struct SimOptions {
 /// and a set of threads to run to completion. See the crate docs for an
 /// example.
 pub struct Simulation {
-    shared: Arc<Shared>,
-    bodies: Vec<Option<ThreadBody>>,
+    state: SharedState,
+    bodies: Vec<ThreadBody>,
     scheme: SchemeKind,
     nwindows: usize,
 }
@@ -275,7 +256,6 @@ impl Simulation {
             streams: Vec::new(),
             ready: ReadyQueue::new(SchedulingPolicy::Fifo),
             waiting: BTreeMap::new(),
-            turn: Turn::Scheduler,
             finished: Vec::new(),
             quarantined: Vec::new(),
             error: None,
@@ -294,11 +274,7 @@ impl Simulation {
             stream_writes_seen: 0,
         };
         Ok(Simulation {
-            shared: Arc::new(Shared {
-                state: Mutex::new(state),
-                sched_cv: Condvar::new(),
-                worker_cvs: OnceLock::new(),
-            }),
+            state: Rc::new(RefCell::new(state)),
             bodies: Vec::new(),
             scheme: kind,
             nwindows,
@@ -337,7 +313,7 @@ impl Simulation {
     /// Sets the scheduling policy (default: FIFO).
     #[must_use]
     pub fn with_policy(self, policy: SchedulingPolicy) -> Self {
-        self.shared.state.lock().ready = ReadyQueue::new(policy);
+        self.state.borrow_mut().ready = ReadyQueue::new(policy);
         self
     }
 
@@ -348,7 +324,7 @@ impl Simulation {
     #[must_use]
     pub fn with_sched_policy(self, imp: Box<dyn SchedPolicy>) -> Self {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = self.state.borrow_mut();
             debug_assert!(st.ready.is_empty(), "install the policy before spawning threads");
             st.ready = ReadyQueue::with_impl(imp);
         }
@@ -358,7 +334,7 @@ impl Simulation {
     /// Sets the cycles charged per stream byte transferred (default: 4).
     #[must_use]
     pub fn with_stream_byte_cycles(self, cycles: u64) -> Self {
-        self.shared.state.lock().stream_byte_cycles = cycles;
+        self.state.borrow_mut().stream_byte_cycles = cycles;
         self
     }
 
@@ -366,7 +342,7 @@ impl Simulation {
     /// recorded trace is returned by [`Simulation::run_with_trace`].
     #[must_use]
     pub fn with_trace_recording(self) -> Self {
-        self.shared.state.lock().trace = Some(Trace::new());
+        self.state.borrow_mut().trace = Some(Trace::new());
         self
     }
 
@@ -377,7 +353,7 @@ impl Simulation {
     /// is wrapped in a `Simulation` span named after the scheme.
     #[must_use]
     pub fn with_probe(self, probe: Arc<dyn Probe>) -> Self {
-        self.shared.state.lock().cpu.set_probe(Some(probe));
+        self.state.borrow_mut().cpu.set_probe(Some(probe));
         self
     }
 
@@ -390,7 +366,7 @@ impl Simulation {
     /// keeps running.
     #[must_use]
     pub fn with_window_audit(self) -> Self {
-        self.shared.state.lock().cpu.enable_window_audit();
+        self.state.borrow_mut().cpu.enable_window_audit();
         self
     }
 
@@ -401,7 +377,7 @@ impl Simulation {
     #[must_use]
     pub fn with_fault_plan(self, plan: &FaultPlan) -> Self {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = self.state.borrow_mut();
             let schedule = plan.machine_schedule();
             st.cpu.set_fault_schedule(if schedule.is_empty() { None } else { Some(schedule) });
             st.stream_read_fails = plan.stream_read_fails();
@@ -423,7 +399,7 @@ impl Simulation {
         capacity: usize,
         writers: usize,
     ) -> StreamId {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.borrow_mut();
         let id = StreamId(st.streams.len());
         st.streams.push(Stream::new(name, capacity, writers));
         id
@@ -458,7 +434,7 @@ impl Simulation {
     /// driver ([`Simulation::start`]); the plain [`Simulation::run`]
     /// path never drains it.
     pub fn mark_stream_outbound(&mut self, stream: StreamId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.borrow_mut();
         st.streams[stream.0].set_remote(RemoteEnd::Outbound);
     }
 
@@ -467,17 +443,20 @@ impl Simulation {
     /// it with one writer (the bus); it closes when the sending PE's
     /// close message is delivered.
     pub fn mark_stream_inbound(&mut self, stream: StreamId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.borrow_mut();
         st.streams[stream.0].set_remote(RemoteEnd::Inbound);
     }
 
-    /// Spawns a simulated thread. Threads are dispatched in spawn order.
+    /// Spawns a simulated thread running the async `body`. Threads are
+    /// dispatched in spawn order. The body runs on the OS thread that
+    /// drives the simulation, so it need not be `Send`; it must suspend
+    /// only inside the blocking [`Ctx`] operations.
     pub fn spawn(
         &mut self,
         name: impl Into<String>,
-        body: impl FnOnce(&mut Ctx) -> Result<(), RtError> + Send + 'static,
+        body: impl AsyncFnOnce(&mut Ctx) -> Result<(), RtError> + 'static,
     ) -> ThreadId {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.borrow_mut();
         let t = st.cpu.add_thread();
         st.names.push(name.into());
         st.finished.push(false);
@@ -486,7 +465,8 @@ impl Simulation {
         st.blocked_on_write.push(0);
         st.ready.enqueue_new(t);
         drop(st);
-        self.bodies.push(Some(Box::new(body)));
+        let mut ctx = Ctx::new(Rc::clone(&self.state), t);
+        self.bodies.push(Box::pin(async move { body(&mut ctx).await }));
         t
     }
 
@@ -519,40 +499,28 @@ impl Simulation {
         started.finish()
     }
 
-    /// Spawns the worker threads and hands back a [`StartedSim`] that an
-    /// external discrete-event driver (the `regwin-cluster` scheduler)
-    /// clocks explicitly via [`StartedSim::step`]. The plain
+    /// Opens the run and hands back a [`StartedSim`] that an external
+    /// discrete-event driver (the `regwin-cluster` scheduler) clocks
+    /// explicitly via [`StartedSim::step`]. The plain
     /// [`Simulation::run`] path is implemented on top of this and runs
     /// exactly one step.
-    pub fn start(mut self) -> StartedSim {
+    pub fn start(self) -> StartedSim {
         let nthreads = self.bodies.len();
-        let probe = self.shared.state.lock().cpu.machine().probe().cloned();
+        let probe = self.state.borrow().cpu.machine().probe().cloned();
         if let Some(p) = &probe {
             p.record(&ProbeEvent::SpanStart {
                 kind: SpanKind::Simulation,
                 name: self.scheme.name(),
             });
         }
-        self.shared
-            .worker_cvs
-            .set((0..nthreads).map(|_| Condvar::new()).collect())
-            .unwrap_or_else(|_| unreachable!("start consumes the simulation"));
-        let mut workers = Vec::with_capacity(nthreads);
-        for (i, slot) in self.bodies.iter_mut().enumerate() {
-            let body = slot.take().expect("body taken once");
-            let shared = Arc::clone(&self.shared);
-            let tid = ThreadId::new(i);
-            workers.push(std::thread::spawn(move || worker_main(shared, tid, body)));
-        }
         StartedSim {
-            shared: Arc::clone(&self.shared),
-            workers,
+            state: self.state,
+            bodies: self.bodies.into_iter().map(Some).collect(),
             scheme: self.scheme,
             nwindows: self.nwindows,
             nthreads,
             probe,
             loop_result: Ok(()),
-            shut_down: false,
         }
     }
 }
@@ -590,18 +558,19 @@ pub struct SendEvent {
     pub tick: u64,
 }
 
-/// A running simulation under external control: worker threads are
-/// spawned and parked, and the embedded scheduler only advances when
+/// A running simulation under external control: every thread is a
+/// suspended coroutine, and the embedded scheduler only advances when
 /// [`StartedSim::step`] is called. Between steps, an external driver
 /// drains outbound bytes, grants bus requests and delivers inbound
 /// bytes — the PE-side half of the cluster's discrete-event protocol.
 ///
-/// Dropping a `StartedSim` without calling [`StartedSim::finish`] stops
-/// and joins the workers (aborting unfinished threads), so an external
-/// driver that fails mid-run leaks nothing.
+/// Dropping a `StartedSim` without calling [`StartedSim::finish`] drops
+/// the unfinished threads' futures, so an external driver that fails
+/// mid-run leaks nothing.
 pub struct StartedSim {
-    shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    state: SharedState,
+    /// Each thread's future, `None` once it finished or was quarantined.
+    bodies: Vec<Option<ThreadBody>>,
     scheme: SchemeKind,
     nwindows: usize,
     nthreads: usize,
@@ -610,33 +579,27 @@ pub struct StartedSim {
     /// [`StartedSim::finish`] in exactly the position the legacy
     /// single-call path reported it.
     loop_result: Result<(), RtError>,
-    shut_down: bool,
 }
 
 impl StartedSim {
     /// Runs the embedded scheduler until every thread finished
     /// ([`StepOutcome::Done`]), no thread can run without bus progress
-    /// ([`StepOutcome::Blocked`]), or the run fails. Deterministic: the
-    /// turn-token protocol serializes all execution, so the outcome
-    /// depends only on workload state at entry.
+    /// ([`StepOutcome::Blocked`]), or the run fails. Deterministic: one
+    /// thread runs at a time, on this OS thread, so the outcome depends
+    /// only on workload state at entry.
     ///
     /// # Errors
     ///
     /// Returns the first thread error or a deadlock description exactly
     /// as [`Simulation::run`] would.
     pub fn step(&mut self) -> Result<StepOutcome, RtError> {
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
         loop {
-            while st.turn != Turn::Scheduler && st.error.is_none() && !st.stop {
-                shared.sched_cv.wait(&mut st);
-            }
+            let mut st = self.state.borrow_mut();
             if st.error.is_some() || st.stop {
                 st.stop = true;
-                // The stop flag can be raised with no recorded error
-                // (e.g. an external driver tearing the PE down); surface
-                // that as a typed error rather than panicking on the
-                // empty error slot.
+                // The stop flag stays raised with no recorded error
+                // after a deadlock; surface a later step as a typed
+                // error rather than panicking on the empty slot.
                 let e = st.error.clone().unwrap_or_else(|| RtError::Internal {
                     detail: "scheduler observed the stop flag with no recorded error".to_string(),
                 });
@@ -671,6 +634,7 @@ impl StartedSim {
                                     return Err(e);
                                 };
                                 st.quarantine_thread(owner);
+                                self.bodies[owner.index()] = None;
                                 if owner == next {
                                     break;
                                 }
@@ -692,8 +656,8 @@ impl StartedSim {
                         });
                     }
                     st.record(TraceEvent::SwitchTo(next));
-                    st.turn = Turn::Worker(next);
-                    shared.worker_cv(next).notify_one();
+                    drop(st);
+                    self.run_turn(next);
                 }
                 None => {
                     // A thread blocked on a cross-PE stream is waiting
@@ -725,7 +689,62 @@ impl StartedSim {
         }
     }
 
-    /// Stops and joins the workers, closes the probe span and builds
+    /// Gives `t` its turn: polls its future once, with no borrow of the
+    /// state held, so the body runs until it finishes or a blocking
+    /// [`Ctx`] operation yields. A finished (or panicked) body's future
+    /// is dropped and its outcome recorded.
+    fn run_turn(&mut self, t: ThreadId) {
+        let body = self.bodies[t.index()].as_mut().expect("a dispatched thread has a live body");
+        let polled = catch_unwind(AssertUnwindSafe(|| {
+            body.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+        }));
+        let outcome = match polled {
+            Ok(Poll::Pending) => {
+                let mut st = self.state.borrow_mut();
+                if !st.waiting.contains_key(&t) && st.error.is_none() {
+                    st.error = Some(RtError::Internal {
+                        detail: format!(
+                            "thread {} suspended outside a blocking Ctx operation",
+                            st.names[t.index()]
+                        ),
+                    });
+                }
+                return;
+            }
+            Ok(Poll::Ready(result)) => Ok(result),
+            Err(panic) => Err(panic),
+        };
+        self.bodies[t.index()] = None;
+        let mut st = self.state.borrow_mut();
+        st.finished[t.index()] = true;
+        match outcome {
+            Ok(Ok(())) => {
+                // Release the thread's windows on the simulated CPU.
+                if st.cpu.current_thread() == Some(t) {
+                    st.record(TraceEvent::Terminate);
+                    if let Err(e) = st.cpu.terminate_current() {
+                        if st.error.is_none() {
+                            st.error = Some(e.into());
+                        }
+                    }
+                }
+            }
+            Ok(Err(e)) => {
+                if e.unrecoverable_owner() == Some(t) {
+                    st.quarantine_thread(t);
+                } else if st.error.is_none() {
+                    st.error = Some(e);
+                }
+            }
+            Err(_) => {
+                if st.error.is_none() {
+                    st.error = Some(RtError::ThreadPanicked { name: st.names[t.index()].clone() });
+                }
+            }
+        }
+    }
+
+    /// Drops any unfinished threads, closes the probe span and builds
     /// the report — byte-for-byte the tail of the legacy
     /// [`Simulation::run_with_trace`] path.
     ///
@@ -734,8 +753,8 @@ impl StartedSim {
     /// Reports the first thread error, then any scheduler-loop error
     /// from a prior [`StartedSim::step`], in that precedence order.
     pub fn finish(mut self) -> Result<(RunReport, Option<Trace>), RtError> {
-        self.shutdown();
-        let mut st = self.shared.state.lock();
+        self.bodies.clear();
+        let mut st = self.state.borrow_mut();
         // Deliver whatever counter deltas the machine still holds before
         // the Simulation span closes, so every event lands inside it.
         st.cpu.flush_probe();
@@ -782,10 +801,7 @@ impl StartedSim {
             },
             bus: None,
         };
-        drop(st);
-        let mut st = self.shared.state.lock();
-        let slackness =
-            if st.dispatches == 0 { 0.0 } else { st.slack_sum as f64 / st.dispatches as f64 };
+        let slackness = report.avg_parallel_slackness;
         let trace = st.trace.take().map(|mut t| {
             t.set_threads(
                 st.names.clone(),
@@ -800,7 +816,7 @@ impl StartedSim {
 
     /// The PE's local clock: total simulated cycles so far.
     pub fn local_tick(&self) -> u64 {
-        self.shared.state.lock().cpu.total_cycles()
+        self.state.borrow().cpu.total_cycles()
     }
 
     /// Drains every outbound cross-PE stream: buffered bytes become
@@ -809,7 +825,7 @@ impl StartedSim {
     /// exactly once, after all its bytes. Drained bytes stay in flight —
     /// they occupy sender capacity until [`StartedSim::grant_send`].
     pub fn drain_outbound(&mut self) -> Vec<SendEvent> {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.borrow_mut();
         let mut out = Vec::new();
         for i in 0..st.streams.len() {
             if st.streams[i].remote() != Some(RemoteEnd::Outbound) {
@@ -833,7 +849,7 @@ impl StartedSim {
     /// The bus granted one in-flight byte of the outbound `stream`:
     /// frees a unit of sender capacity and wakes one blocked writer.
     pub fn grant_send(&mut self, stream: StreamId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.borrow_mut();
         st.streams[stream.0].grant_send();
         st.bump(Metric::BusGrants, 1);
         st.wake_one_writer(stream);
@@ -846,7 +862,7 @@ impl StartedSim {
     /// `tick`, charging the gap as bus-stall idle time — the receiving
     /// PE really did sit idle until the delivery arrived.
     pub fn deliver(&mut self, stream: StreamId, payload: Option<u8>, tick: u64) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.ready.is_empty() {
             st.cpu.step_to_tick(tick);
         }
@@ -868,30 +884,7 @@ impl StartedSim {
     /// waiting for — the per-PE fragment of a cluster-level deadlock
     /// report.
     pub fn blocked_detail(&self) -> String {
-        blocked_detail(&self.shared.state.lock())
-    }
-
-    fn shutdown(&mut self) {
-        if self.shut_down {
-            return;
-        }
-        self.shut_down = true;
-        // Release any still-parked workers and join them.
-        {
-            let mut st = self.shared.state.lock();
-            st.stop = true;
-            self.shared.notify_all_workers();
-            drop(st);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for StartedSim {
-    fn drop(&mut self) {
-        self.shutdown();
+        blocked_detail(&self.state.borrow())
     }
 }
 
@@ -929,112 +922,29 @@ fn blocked_detail(st: &SimState) -> String {
     detail.join("; ")
 }
 
-fn worker_main(shared: Arc<Shared>, tid: ThreadId, body: ThreadBody) {
-    // Wait for the first dispatch.
-    {
-        let mut st = shared.state.lock();
-        while st.turn != Turn::Worker(tid) && !st.stop {
-            shared.worker_cv(tid).wait(&mut st);
-        }
-        if st.stop {
-            st.finished[tid.index()] = true;
-            return;
-        }
-    }
-    let mut ctx = Ctx::new(Arc::clone(&shared), tid);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-
-    let mut st = shared.state.lock();
-    st.finished[tid.index()] = true;
-    match outcome {
-        Ok(Ok(())) => {
-            // Release the thread's windows on the simulated CPU.
-            if st.cpu.current_thread() == Some(tid) {
-                st.record(TraceEvent::Terminate);
-                if let Err(e) = st.cpu.terminate_current() {
-                    if st.error.is_none() {
-                        st.error = Some(e.into());
-                    }
-                }
-            }
-        }
-        Ok(Err(RtError::Aborted)) => {}
-        Ok(Err(e)) => {
-            if e.unrecoverable_owner() == Some(tid) {
-                st.quarantine_thread(tid);
-            } else if st.error.is_none() {
-                st.error = Some(e);
-            }
-        }
-        Err(_) => {
-            if st.error.is_none() {
-                st.error = Some(RtError::ThreadPanicked { name: st.names[tid.index()].clone() });
-            }
-        }
-    }
-    st.turn = Turn::Scheduler;
-    shared.sched_cv.notify_one();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The stop flag raised with no recorded error (the corner an
-    /// external driver can produce) must surface as a typed
-    /// [`RtError::Internal`], not a panic on the empty error slot.
+    /// The stop flag raised with no recorded error (as a deadlock leaves
+    /// it) must surface as a typed [`RtError::Internal`] on the next
+    /// step, not a panic on the empty error slot or a resumed run.
     #[test]
     fn stop_without_error_is_a_typed_internal_error() {
         let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
         let pipe = sim.add_stream("pipe", 1, 1);
-        sim.spawn("blocked", move |ctx| {
+        sim.spawn("blocked", async move |ctx| {
             // Blocks forever: nothing ever writes the stream.
-            ctx.read_byte(pipe)?;
+            ctx.read_byte(pipe).await?;
             Ok(())
         });
         let mut started = sim.start();
-        started.shared.state.lock().stop = true;
+        started.state.borrow_mut().stop = true;
         let err = started.step().unwrap_err();
         assert!(matches!(err, RtError::Internal { .. }), "got {err:?}");
-        // finish() reproduces the scheduler-loop error and tears the
-        // workers down cleanly.
+        // finish() reproduces the scheduler-loop error and drops the
+        // never-dispatched thread cleanly.
         let finished = started.finish();
         assert!(matches!(finished, Err(RtError::Internal { .. })), "got {finished:?}");
-    }
-
-    /// The same corner while the scheduler is parked waiting for a
-    /// worker turn: the wait loop must wake up and exit on the stop
-    /// flag instead of hanging.
-    #[test]
-    fn stop_mid_wait_wakes_the_scheduler() {
-        let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
-        sim.spawn("spin", move |ctx| {
-            for _ in 0..64 {
-                ctx.call(|c| {
-                    c.compute(1);
-                    Ok(())
-                })?;
-            }
-            Ok(())
-        });
-        let started = sim.start();
-        let shared = Arc::clone(&started.shared);
-        let stopper = std::thread::spawn(move || {
-            let mut st = shared.state.lock();
-            st.stop = true;
-            shared.sched_cv.notify_one();
-            shared.notify_all_workers();
-            drop(st);
-        });
-        let mut started = started;
-        // Either the worker finished first (Done) or the stop landed
-        // mid-run (typed Internal error) — both are clean exits; the
-        // test is that neither path hangs or panics.
-        match started.step() {
-            Ok(StepOutcome::Done) => {}
-            Err(RtError::Internal { .. }) | Err(RtError::Aborted) => {}
-            other => panic!("unexpected step outcome: {other:?}"),
-        }
-        stopper.join().unwrap();
     }
 }

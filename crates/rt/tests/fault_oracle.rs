@@ -17,15 +17,15 @@ fn run_with(plan: Option<&FaultPlan>) -> Result<RunReport, RtError> {
         sim = sim.with_fault_plan(plan);
     }
     let pipe = sim.add_stream("pipe", 4, 1);
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", async move |ctx| {
         for b in 0u8..32 {
-            deep(ctx, 8, pipe, b)?;
+            deep(ctx, 8, pipe, b).await?;
         }
-        ctx.close_writer(pipe)
+        ctx.close_writer(pipe).await
     });
-    sim.spawn("consumer", move |ctx| {
+    sim.spawn("consumer", async move |ctx| {
         let mut sum = 0u64;
-        while let Some(b) = ctx.read_byte(pipe)? {
+        while let Some(b) = ctx.read_byte(pipe).await? {
             sum += u64::from(b);
         }
         assert_eq!(sum, (0..32u64).sum::<u64>());
@@ -34,11 +34,11 @@ fn run_with(plan: Option<&FaultPlan>) -> Result<RunReport, RtError> {
     sim.run()
 }
 
-fn deep(ctx: &mut Ctx, depth: usize, pipe: StreamId, b: u8) -> Result<(), RtError> {
+async fn deep(ctx: &mut Ctx, depth: usize, pipe: StreamId, b: u8) -> Result<(), RtError> {
     if depth == 0 {
-        return ctx.write_byte(pipe, b);
+        return ctx.write_byte(pipe, b).await;
     }
-    ctx.call(|ctx| deep(ctx, depth - 1, pipe, b))
+    ctx.call(async |ctx| Box::pin(deep(ctx, depth - 1, pipe, b)).await).await
 }
 
 #[test]

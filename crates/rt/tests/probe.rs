@@ -14,25 +14,29 @@ fn run_with_probe(
 ) -> Result<regwin_rt::RunReport, RtError> {
     let mut sim = Simulation::new(6, scheme)?.with_probe(probe);
     let pipe = sim.add_stream("pipe", 2, 1);
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", async move |ctx| {
         for i in 0u8..48 {
-            let byte = ctx.call(|ctx| {
-                ctx.call(|ctx| {
-                    ctx.compute(4);
-                    Ok(())
-                })?;
-                Ok(i)
-            })?;
-            ctx.write_byte(pipe, byte)?;
+            let byte = ctx
+                .call(async |ctx| {
+                    ctx.call(async |ctx| {
+                        ctx.compute(4);
+                        Ok(())
+                    })
+                    .await?;
+                    Ok(i)
+                })
+                .await?;
+            ctx.write_byte(pipe, byte).await?;
         }
-        ctx.close_writer(pipe)
+        ctx.close_writer(pipe).await
     });
-    sim.spawn("consumer", move |ctx| {
-        while let Some(b) = ctx.read_byte(pipe)? {
-            ctx.call(|ctx| {
+    sim.spawn("consumer", async move |ctx| {
+        while let Some(b) = ctx.read_byte(pipe).await? {
+            ctx.call(async |ctx| {
                 ctx.compute(u64::from(b) % 7);
                 Ok(())
-            })?;
+            })
+            .await?;
         }
         Ok(())
     });

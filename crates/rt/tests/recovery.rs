@@ -19,15 +19,15 @@ fn run_audited(plan: Option<&FaultPlan>, probe: Arc<dyn Probe>) -> Result<RunRep
         sim = sim.with_fault_plan(plan);
     }
     let pipe = sim.add_stream("pipe", 4, 1);
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", async move |ctx| {
         for b in 0u8..32 {
-            deep(ctx, 8, pipe, b)?;
+            deep(ctx, 8, pipe, b).await?;
         }
-        ctx.close_writer(pipe)
+        ctx.close_writer(pipe).await
     });
-    sim.spawn("consumer", move |ctx| {
+    sim.spawn("consumer", async move |ctx| {
         let mut sum = 0u64;
-        while let Some(b) = ctx.read_byte(pipe)? {
+        while let Some(b) = ctx.read_byte(pipe).await? {
             sum += u64::from(b);
         }
         assert_eq!(sum, (0..32u64).sum::<u64>());
@@ -36,11 +36,11 @@ fn run_audited(plan: Option<&FaultPlan>, probe: Arc<dyn Probe>) -> Result<RunRep
     sim.run()
 }
 
-fn deep(ctx: &mut Ctx, depth: usize, pipe: StreamId, b: u8) -> Result<(), RtError> {
+async fn deep(ctx: &mut Ctx, depth: usize, pipe: StreamId, b: u8) -> Result<(), RtError> {
     if depth == 0 {
-        return ctx.write_byte(pipe, b);
+        return ctx.write_byte(pipe, b).await;
     }
-    ctx.call(|ctx| deep(ctx, depth - 1, pipe, b))
+    ctx.call(async |ctx| Box::pin(deep(ctx, depth - 1, pipe, b)).await).await
 }
 
 #[test]
@@ -79,9 +79,9 @@ fn fault_free_audited_run_repairs_nothing() {
 fn run_independent(plan: &FaultPlan) -> Result<RunReport, RtError> {
     let mut sim = Simulation::new(4, SchemeKind::Sp)?.with_window_audit().with_fault_plan(plan);
     for name in ["alpha", "beta", "gamma"] {
-        sim.spawn(name, move |ctx| {
+        sim.spawn(name, async move |ctx| {
             for _ in 0..4 {
-                burn(ctx, 10)?;
+                burn(ctx, 10).await?;
             }
             Ok(())
         });
@@ -89,12 +89,12 @@ fn run_independent(plan: &FaultPlan) -> Result<RunReport, RtError> {
     sim.run()
 }
 
-fn burn(ctx: &mut Ctx, depth: usize) -> Result<(), RtError> {
+async fn burn(ctx: &mut Ctx, depth: usize) -> Result<(), RtError> {
     if depth == 0 {
         ctx.compute(3);
         return Ok(());
     }
-    ctx.call(|ctx| burn(ctx, depth - 1))
+    ctx.call(async |ctx| Box::pin(burn(ctx, depth - 1)).await).await
 }
 
 #[test]

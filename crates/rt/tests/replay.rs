@@ -14,35 +14,40 @@ fn recorded_pipeline(scheme: SchemeKind, nwindows: usize, capacity: usize) -> (R
         .with_trace_recording();
     let s1 = sim.add_stream("s1", capacity, 1);
     let s2 = sim.add_stream("s2", capacity, 1);
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", async move |ctx| {
         for i in 0..200u32 {
-            let b = ctx.call(|ctx| {
-                ctx.compute(3);
-                if i % 7 == 0 {
-                    // Occasional deeper excursion.
-                    ctx.call(|ctx| {
-                        ctx.compute(2);
-                        Ok(())
-                    })?;
-                }
-                Ok((i % 251) as u8)
-            })?;
-            ctx.write_byte(s1, b)?;
+            let b = ctx
+                .call(async |ctx| {
+                    ctx.compute(3);
+                    if i % 7 == 0 {
+                        // Occasional deeper excursion.
+                        ctx.call(async |ctx| {
+                            ctx.compute(2);
+                            Ok(())
+                        })
+                        .await?;
+                    }
+                    Ok((i % 251) as u8)
+                })
+                .await?;
+            ctx.write_byte(s1, b).await?;
         }
-        ctx.close_writer(s1)
+        ctx.close_writer(s1).await
     });
-    sim.spawn("transform", move |ctx| {
-        while let Some(b) = ctx.read_byte(s1)? {
-            let v = ctx.call(|ctx| {
-                ctx.compute(2);
-                Ok(b.wrapping_mul(3))
-            })?;
-            ctx.write_byte(s2, v)?;
+    sim.spawn("transform", async move |ctx| {
+        while let Some(b) = ctx.read_byte(s1).await? {
+            let v = ctx
+                .call(async |ctx| {
+                    ctx.compute(2);
+                    Ok(b.wrapping_mul(3))
+                })
+                .await?;
+            ctx.write_byte(s2, v).await?;
         }
-        ctx.close_writer(s2)
+        ctx.close_writer(s2).await
     });
-    sim.spawn("sink", move |ctx| {
-        while ctx.read_byte(s2)?.is_some() {
+    sim.spawn("sink", async move |ctx| {
+        while ctx.read_byte(s2).await?.is_some() {
             ctx.compute(1);
         }
         Ok(())
@@ -114,34 +119,39 @@ fn recording_does_not_change_the_run() {
     let mut sim = Simulation::new(8, SchemeKind::Snp).unwrap();
     let s1 = sim.add_stream("s1", 2, 1);
     let s2 = sim.add_stream("s2", 2, 1);
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", async move |ctx| {
         for i in 0..200u32 {
-            let b = ctx.call(|ctx| {
-                ctx.compute(3);
-                if i % 7 == 0 {
-                    ctx.call(|ctx| {
-                        ctx.compute(2);
-                        Ok(())
-                    })?;
-                }
-                Ok((i % 251) as u8)
-            })?;
-            ctx.write_byte(s1, b)?;
+            let b = ctx
+                .call(async |ctx| {
+                    ctx.compute(3);
+                    if i % 7 == 0 {
+                        ctx.call(async |ctx| {
+                            ctx.compute(2);
+                            Ok(())
+                        })
+                        .await?;
+                    }
+                    Ok((i % 251) as u8)
+                })
+                .await?;
+            ctx.write_byte(s1, b).await?;
         }
-        ctx.close_writer(s1)
+        ctx.close_writer(s1).await
     });
-    sim.spawn("transform", move |ctx| {
-        while let Some(b) = ctx.read_byte(s1)? {
-            let v = ctx.call(|ctx| {
-                ctx.compute(2);
-                Ok(b.wrapping_mul(3))
-            })?;
-            ctx.write_byte(s2, v)?;
+    sim.spawn("transform", async move |ctx| {
+        while let Some(b) = ctx.read_byte(s1).await? {
+            let v = ctx
+                .call(async |ctx| {
+                    ctx.compute(2);
+                    Ok(b.wrapping_mul(3))
+                })
+                .await?;
+            ctx.write_byte(s2, v).await?;
         }
-        ctx.close_writer(s2)
+        ctx.close_writer(s2).await
     });
-    sim.spawn("sink", move |ctx| {
-        while ctx.read_byte(s2)?.is_some() {
+    sim.spawn("sink", async move |ctx| {
+        while ctx.read_byte(s2).await?.is_some() {
             ctx.compute(1);
         }
         Ok(())

@@ -20,31 +20,35 @@ fn pipeline(
     let s1 = sim.add_stream("s1", capacity, 1);
     let s2 = sim.add_stream("s2", capacity, 1);
 
-    sim.spawn("producer", move |ctx| {
+    sim.spawn("producer", async move |ctx| {
         for i in 0..items {
             // A small helper-call tree per item, to generate window
             // activity the way real code does.
-            let byte = ctx.call(|ctx| {
-                ctx.compute(5);
-                Ok((i % 251) as u8)
-            })?;
-            ctx.write_byte(s1, byte)?;
+            let byte = ctx
+                .call(async |ctx| {
+                    ctx.compute(5);
+                    Ok((i % 251) as u8)
+                })
+                .await?;
+            ctx.write_byte(s1, byte).await?;
         }
-        ctx.close_writer(s1)
+        ctx.close_writer(s1).await
     });
-    sim.spawn("doubler", move |ctx| {
-        while let Some(b) = ctx.read_byte(s1)? {
-            let doubled = ctx.call(|ctx| {
-                ctx.compute(3);
-                Ok(b.wrapping_mul(2))
-            })?;
-            ctx.write_byte(s2, doubled)?;
+    sim.spawn("doubler", async move |ctx| {
+        while let Some(b) = ctx.read_byte(s1).await? {
+            let doubled = ctx
+                .call(async |ctx| {
+                    ctx.compute(3);
+                    Ok(b.wrapping_mul(2))
+                })
+                .await?;
+            ctx.write_byte(s2, doubled).await?;
         }
-        ctx.close_writer(s2)
+        ctx.close_writer(s2).await
     });
     let sum2 = Arc::clone(&sum);
-    sim.spawn("consumer", move |ctx| {
-        while let Some(b) = ctx.read_byte(s2)? {
+    sim.spawn("consumer", async move |ctx| {
+        while let Some(b) = ctx.read_byte(s2).await? {
             ctx.compute(2);
             sum2.fetch_add(u64::from(b), Ordering::Relaxed);
         }
@@ -144,14 +148,14 @@ fn countable_first_dispatches(report: &RunReport) -> u64 {
 fn deadlock_is_detected_and_described() {
     let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
     let s = sim.add_stream("starved", 4, 1);
-    sim.spawn("reader", move |ctx| {
+    sim.spawn("reader", async move |ctx| {
         // The writer never writes: this blocks forever.
-        let _ = ctx.read_byte(s)?;
+        let _ = ctx.read_byte(s).await?;
         Ok(())
     });
-    sim.spawn("idler", move |ctx| {
+    sim.spawn("idler", async move |ctx| {
         // Blocks on its own read of the same stream.
-        let _ = ctx.read_byte(s)?;
+        let _ = ctx.read_byte(s).await?;
         Ok(())
     });
     match sim.run() {
@@ -165,7 +169,7 @@ fn deadlock_is_detected_and_described() {
 #[test]
 fn thread_panic_is_reported_with_name() {
     let mut sim = Simulation::new(8, SchemeKind::Ns).unwrap();
-    sim.spawn("kaboom", |_ctx| panic!("intentional test panic"));
+    sim.spawn("kaboom", async |_ctx| panic!("intentional test panic"));
     match sim.run() {
         Err(RtError::ThreadPanicked { name }) => assert_eq!(name, "kaboom"),
         other => panic!("expected panic report, got {other:?}"),
@@ -176,12 +180,12 @@ fn thread_panic_is_reported_with_name() {
 fn write_after_close_is_an_error() {
     let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
     let s = sim.add_stream("s", 4, 1);
-    sim.spawn("bad-writer", move |ctx| {
-        ctx.close_writer(s)?;
-        ctx.write_byte(s, 1)
+    sim.spawn("bad-writer", async move |ctx| {
+        ctx.close_writer(s).await?;
+        ctx.write_byte(s, 1).await
     });
-    sim.spawn("reader", move |ctx| {
-        while ctx.read_byte(s)?.is_some() {}
+    sim.spawn("reader", async move |ctx| {
+        while ctx.read_byte(s).await?.is_some() {}
         Ok(())
     });
     assert!(matches!(sim.run(), Err(RtError::WriteAfterClose(_))));
@@ -195,16 +199,16 @@ fn two_writers_one_stream() {
     let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
     let s = sim.add_stream("merged", 2, 2);
     for w in 0..2 {
-        sim.spawn(format!("writer{w}"), move |ctx| {
+        sim.spawn(format!("writer{w}"), async move |ctx| {
             for _ in 0..30 {
-                ctx.write_byte(s, 1)?;
+                ctx.write_byte(s, 1).await?;
             }
-            ctx.close_writer(s)
+            ctx.close_writer(s).await
         });
     }
     let got2 = Arc::clone(&got);
-    sim.spawn("reader", move |ctx| {
-        while let Some(b) = ctx.read_byte(s)? {
+    sim.spawn("reader", async move |ctx| {
+        while let Some(b) = ctx.read_byte(s).await? {
             got2.fetch_add(u64::from(b), Ordering::Relaxed);
         }
         Ok(())
@@ -217,29 +221,30 @@ fn two_writers_one_stream() {
 fn deep_recursion_inside_a_thread() {
     // Recursion deeper than the window file, interleaved with another
     // thread, exercising trap handling under runtime control.
-    fn recurse(ctx: &mut regwin_rt::Ctx, depth: u32) -> Result<u64, RtError> {
+    async fn recurse(ctx: &mut regwin_rt::Ctx, depth: u32) -> Result<u64, RtError> {
         if depth == 0 {
             return Ok(0);
         }
-        ctx.call(|ctx| {
+        ctx.call(async |ctx| {
             ctx.compute(1);
-            let below = recurse(ctx, depth - 1)?;
+            let below = Box::pin(recurse(ctx, depth - 1)).await?;
             Ok(below + 1)
         })
+        .await
     }
     for scheme in SchemeKind::ALL {
         let mut sim = Simulation::new(5, scheme).unwrap();
         let s = sim.add_stream("tick", 1, 1);
-        sim.spawn("recurser", move |ctx| {
+        sim.spawn("recurser", async move |ctx| {
             for _ in 0..4 {
-                let depth = recurse(ctx, 12)?;
+                let depth = recurse(ctx, 12).await?;
                 assert_eq!(depth, 12);
-                ctx.write_byte(s, 1)?;
+                ctx.write_byte(s, 1).await?;
             }
-            ctx.close_writer(s)
+            ctx.close_writer(s).await
         });
-        sim.spawn("ticker", move |ctx| {
-            while ctx.read_byte(s)?.is_some() {}
+        sim.spawn("ticker", async move |ctx| {
+            while ctx.read_byte(s).await?.is_some() {}
             Ok(())
         });
         let report = sim.run().unwrap();
@@ -261,33 +266,35 @@ fn working_set_policy_reduces_switch_cost_under_pressure() {
         }
         for (i, &out) in streams.iter().enumerate() {
             let inp = prev;
-            sim.spawn(format!("stage{i}"), move |ctx| match inp {
+            sim.spawn(format!("stage{i}"), async move |ctx| match inp {
                 None => {
                     for b in 0..120u32 {
-                        ctx.call(|ctx| {
+                        ctx.call(async |ctx| {
                             ctx.compute(2);
                             Ok(())
-                        })?;
-                        ctx.write_byte(out, (b % 256) as u8)?;
+                        })
+                        .await?;
+                        ctx.write_byte(out, (b % 256) as u8).await?;
                     }
-                    ctx.close_writer(out)
+                    ctx.close_writer(out).await
                 }
                 Some(inp) => {
-                    while let Some(b) = ctx.read_byte(inp)? {
-                        ctx.call(|ctx| {
+                    while let Some(b) = ctx.read_byte(inp).await? {
+                        ctx.call(async |ctx| {
                             ctx.compute(2);
                             Ok(())
-                        })?;
-                        ctx.write_byte(out, b)?;
+                        })
+                        .await?;
+                        ctx.write_byte(out, b).await?;
                     }
-                    ctx.close_writer(out)
+                    ctx.close_writer(out).await
                 }
             });
             prev = Some(out);
         }
         let last = prev.unwrap();
-        sim.spawn("sink", move |ctx| {
-            while ctx.read_byte(last)?.is_some() {}
+        sim.spawn("sink", async move |ctx| {
+            while ctx.read_byte(last).await?.is_some() {}
             Ok(())
         });
         sim.run().unwrap()

@@ -254,7 +254,7 @@ impl SpellPipeline {
         let (s4, s5, s6) = self.wire_front(sim);
         let sink = Arc::new(Mutex::new(Vec::new()));
         let sink2 = Arc::clone(&sink);
-        sim.spawn("T5:output", move |ctx| threads::run_output(ctx, s4, sink2));
+        sim.spawn("T5:output", async move |ctx| threads::run_output(ctx, s4, sink2).await);
         self.wire_back(sim, s5, s6);
         sink
     }
@@ -267,7 +267,9 @@ impl SpellPipeline {
     pub fn wire_with_uplink(&self, sim: &mut Simulation, uplink_capacity: usize) -> StreamId {
         let (s4, s5, s6) = self.wire_front(sim);
         let uplink = sim.add_stream("S7:uplink", uplink_capacity, 1);
-        sim.spawn("T5:output", move |ctx| threads::run_output_to_stream(ctx, s4, uplink));
+        sim.spawn("T5:output", async move |ctx| {
+            threads::run_output_to_stream(ctx, s4, uplink).await
+        });
         self.wire_back(sim, s5, s6);
         uplink
     }
@@ -285,20 +287,20 @@ impl SpellPipeline {
         let s6 = sim.add_stream("S6:dict2", m, 1);
 
         // Spawn order follows the paper's thread numbering (Table 1).
-        sim.spawn("T1:delatex", move |ctx| threads::run_delatex(ctx, s1, s2));
-        sim.spawn("T2:spell1", move |ctx| threads::run_spell1(ctx, s5, s2, s3, s4));
-        sim.spawn("T3:spell2", move |ctx| threads::run_spell2(ctx, s6, s3, s4));
+        sim.spawn("T1:delatex", async move |ctx| threads::run_delatex(ctx, s1, s2).await);
+        sim.spawn("T2:spell1", async move |ctx| threads::run_spell1(ctx, s5, s2, s3, s4).await);
+        sim.spawn("T3:spell2", async move |ctx| threads::run_spell2(ctx, s6, s3, s4).await);
         let doc = self.corpus.document.clone();
-        sim.spawn("T4:input", move |ctx| threads::run_input(ctx, &doc, s1));
+        sim.spawn("T4:input", async move |ctx| threads::run_input(ctx, &doc, s1).await);
         (s4, s5, s6)
     }
 
     /// Threads T6–T7 (spawned after the T5 slot).
     fn wire_back(&self, sim: &mut Simulation, s5: StreamId, s6: StreamId) {
         let dict1 = self.corpus.dict1.clone();
-        sim.spawn("T6:dict1", move |ctx| threads::run_dict_feed(ctx, &dict1, s5));
+        sim.spawn("T6:dict1", async move |ctx| threads::run_dict_feed(ctx, &dict1, s5).await);
         let dict2 = self.corpus.dict2.clone();
-        sim.spawn("T7:dict2", move |ctx| threads::run_dict_feed(ctx, &dict2, s6));
+        sim.spawn("T7:dict2", async move |ctx| threads::run_dict_feed(ctx, &dict2, s6).await);
     }
 
     pub(crate) fn run_inner(

@@ -73,19 +73,21 @@ fn custom_runtime_apps_compose_with_any_scheme() {
     for scheme in SchemeKind::ALL {
         let mut sim = Simulation::new(6, scheme).unwrap();
         let s = sim.add_stream("numbers", 3, 1);
-        sim.spawn("squares", move |ctx| {
+        sim.spawn("squares", async move |ctx| {
             for i in 1..=10u8 {
-                let sq = ctx.call(|ctx| {
-                    ctx.compute(4);
-                    Ok(i.wrapping_mul(i))
-                })?;
-                ctx.write_byte(s, sq)?;
+                let sq = ctx
+                    .call(async |ctx| {
+                        ctx.compute(4);
+                        Ok(i.wrapping_mul(i))
+                    })
+                    .await?;
+                ctx.write_byte(s, sq).await?;
             }
-            ctx.close_writer(s)
+            ctx.close_writer(s).await
         });
-        sim.spawn("sum", move |ctx| {
+        sim.spawn("sum", async move |ctx| {
             let mut total = 0u32;
-            while let Some(b) = ctx.read_byte(s)? {
+            while let Some(b) = ctx.read_byte(s).await? {
                 total += u32::from(b);
             }
             assert_eq!(total, (1..=10u32).map(|i| i * i).sum::<u32>());

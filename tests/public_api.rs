@@ -18,8 +18,18 @@ use std::path::{Path, PathBuf};
 
 const SNAPSHOT: &str = "tests/public_api.txt";
 
-const DECL_KEYWORDS: [&str; 9] =
-    ["fn ", "struct ", "enum ", "trait ", "mod ", "use ", "const ", "type ", "static "];
+const DECL_KEYWORDS: [&str; 10] = [
+    "fn ",
+    "async fn ",
+    "struct ",
+    "enum ",
+    "trait ",
+    "mod ",
+    "use ",
+    "const ",
+    "type ",
+    "static ",
+];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let mut entries: Vec<_> = match fs::read_dir(dir) {
