@@ -23,7 +23,7 @@ use std::path::PathBuf;
 
 fn main() {
     let args = Args::parse();
-    let session = args.session("repro-sched");
+    let engine = args.engine();
     let windows = args.windows();
 
     // One high-concurrency sweep per policy; each policy's quarantine
@@ -32,15 +32,15 @@ fn main() {
     let mut per_policy: Vec<(SchedulingPolicy, Vec<Series>)> = Vec::new();
     for policy in SchedulingPolicy::ALL {
         eprintln!("{policy} policy sweep ({}% corpus)...", args.scale);
-        let before = session.quarantine().len();
-        let records = session
+        let before = engine.quarantine().len();
+        let records = engine
             .run_matrix(&Sweep::high_spec(args.corpus(), &windows, policy).with_timing(args.timing))
             .unwrap_or_else(|e| {
                 eprintln!("error: {policy} sweep failed: {e}");
                 std::process::exit(1);
             });
         let jobs = records.len();
-        let quarantined = session.quarantine().len() - before;
+        let quarantined = engine.quarantine().len() - before;
         // The per-policy health line sched-smoke CI greps for.
         println!("policy {policy}: {jobs} runs, {quarantined} quarantined");
         per_policy.push((policy, Sweep::from_records(records).execution_time_series()));
@@ -138,11 +138,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let s = session.summary();
-    eprintln!(
-        "sweep: {} jobs, {} cache hits, {} executed, {} quarantined",
-        s.jobs, s.cache_hits, s.cache_misses, s.quarantined
-    );
+    args.finish(&engine);
 }
 
 /// The cycle count of `label`'s series at window count `w`, if present.

@@ -10,13 +10,13 @@ use regwin_core::TextTable;
 
 fn main() {
     let args = Args::parse();
-    let session = args.session("repro-tradeoff");
+    let engine = args.engine();
     let windows = args.windows();
     eprintln!(
         "High-concurrency sweep ({}% corpus, {} policy, {} timing)...",
         args.scale, args.policy, args.timing
     );
-    let records = session
+    let records = engine
         .run_matrix(
             &Sweep::high_spec(args.corpus(), &windows, args.policy).with_timing(args.timing),
         )
@@ -56,5 +56,5 @@ fn main() {
          benefits from more windows at all."
     );
     args.save_csv("tradeoff_optima", &optima);
-    args.finish_session(&session);
+    args.finish(&engine);
 }

@@ -29,18 +29,17 @@
 //!
 //! Hardening and fault-injection flags (see `EXPERIMENTS.md`):
 //! `--fault-seed <u64>` / `--fault-plan <kind@index,...>` inject a
-//! deterministic fault plan, `--job-timeout-ms <ms>`, `--retries <n>`
-//! and `--retry-backoff-ms <ms>` bound each job attempt, and
-//! `--fail-on-quarantine` turns any quarantined job into exit status 3.
+//! deterministic fault plan, and `--fail-on-quarantine` turns any
+//! quarantined job into exit status 3. Each cache-missing job runs
+//! once, under `catch_unwind`; a job that panics or fails is
+//! quarantined, never retried (the simulation is deterministic, so it
+//! would fail the same way again).
 //!
 //! Recovery flags (see the Recovery section of `EXPERIMENTS.md`):
 //! `--journal` keeps a crash-safe write-ahead journal next to the
-//! artifact (`BENCH_sweep.json.journal.jsonl`), `--resume` replays it
-//! after a crash so only unfinished jobs re-run (the resumed artifact
-//! is byte-identical to an uninterrupted one), and
-//! `--abandoned-cap <n>` bounds the detached threads leaked by
-//! timed-out attempts, quarantining further jobs instead of spawning
-//! past the cap.
+//! artifact (`BENCH_sweep.json.journal.jsonl`), and `--resume` replays
+//! it after a crash so only unfinished jobs re-run (the resumed
+//! artifact is byte-identical to an uninterrupted one).
 //!
 //! Observability flags: `--trace-out <file>` writes the deterministic
 //! JSONL job trace and `--metrics` prints the deterministic metrics
@@ -56,14 +55,6 @@
 //! replays one canonical scenario string (the quarantine `repro` field)
 //! instead of sweeping.
 //!
-//! Sweep service (`repro-tradeoff`, `repro-sched`; see the Sweep
-//! service section of `EXPERIMENTS.md`): `--server <socket>` runs the
-//! sweeps on a resident `regwin-served` daemon instead of in process.
-//! The daemon owns the cache, journal and worker pool (so the
-//! corresponding flags conflict with `--server`), streams job progress
-//! back live, and produces records — and a `BENCH_sweep.json` — that
-//! are byte-identical to the in-process deterministic path.
-//!
 //! Integrity: `--audit` switches window auditing on inside every
 //! simulated run. Auditing never changes any reported number — it buys
 //! masked-corruption repair and quarantine of unrecoverable corruption
@@ -76,15 +67,12 @@
 #![deny(missing_docs)]
 
 use regwin_core::figures::{FigureId, Sweep};
-use regwin_core::{CorpusSpec, MatrixSpec, RunRecord, TextTable};
+use regwin_core::{CorpusSpec, MatrixSpec, TextTable};
 use regwin_machine::TimingKind;
 use regwin_rt::{FaultPlan, RtError, SchedulingPolicy};
-use regwin_serve::ServeClient;
-use regwin_sweep::{QuarantineRecord, SweepConfig, SweepEngine, SweepSummary};
+use regwin_sweep::{SweepConfig, SweepEngine};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::Mutex;
-use std::time::Duration;
 
 pub use regwin_core::figures::FigureResult;
 
@@ -107,12 +95,6 @@ pub struct Args {
     pub fault_seed: Option<u64>,
     /// Explicit `kind@index` fault spec (`--fault-plan`).
     pub fault_plan: Option<String>,
-    /// Per-job attempt timeout in milliseconds (`--job-timeout-ms`).
-    pub job_timeout_ms: Option<u64>,
-    /// Retries after a failed attempt (`--retries`).
-    pub retries: u32,
-    /// Linear retry backoff step in milliseconds (`--retry-backoff-ms`).
-    pub retry_backoff_ms: u64,
     /// Exit nonzero if any job was quarantined (`--fail-on-quarantine`).
     pub fail_on_quarantine: bool,
     /// Write the deterministic JSONL job trace here (`--trace-out`).
@@ -124,9 +106,6 @@ pub struct Args {
     pub journal: bool,
     /// Replay the journal and re-run only unfinished jobs (`--resume`).
     pub resume: bool,
-    /// Cap on abandoned (timed-out, detached) attempt threads
-    /// (`--abandoned-cap`).
-    pub abandoned_cap: Option<usize>,
     /// Enable window integrity auditing in every simulated run
     /// (`--audit`). Audited runs report identical numbers — the flag
     /// buys corruption detection and repair, not different results.
@@ -145,12 +124,6 @@ pub struct Args {
     /// only): replay this single scenario's invariant bundle instead of
     /// sweeping — the quarantine `repro` field pasted back in.
     pub gen: Option<String>,
-    /// Run sweeps on the resident daemon at this socket instead of in
-    /// process (`--server`, `repro-tradeoff`/`repro-sched`). The
-    /// daemon owns the cache, journal, workers and fault knobs, so
-    /// those flags conflict with this one. Artifacts are byte-identical
-    /// to the in-process deterministic path.
-    pub server: Option<PathBuf>,
 }
 
 impl Args {
@@ -164,20 +137,15 @@ impl Args {
             jobs: 0,
             fault_seed: None,
             fault_plan: None,
-            job_timeout_ms: None,
-            retries: 0,
-            retry_backoff_ms: 100,
             fail_on_quarantine: false,
             trace_out: None,
             metrics: false,
             journal: false,
             resume: false,
-            abandoned_cap: None,
             audit: false,
             policy: SchedulingPolicy::Fifo,
             timing: TimingKind::S20,
             gen: None,
-            server: None,
         };
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
@@ -218,25 +186,6 @@ impl Args {
                         it.next().unwrap_or_else(|| usage("--fault-plan needs a kind@index spec")),
                     );
                 }
-                "--job-timeout-ms" => {
-                    args.job_timeout_ms = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--job-timeout-ms needs milliseconds")),
-                    );
-                }
-                "--retries" => {
-                    args.retries = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--retries needs a count"));
-                }
-                "--retry-backoff-ms" => {
-                    args.retry_backoff_ms = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--retry-backoff-ms needs milliseconds"));
-                }
                 "--fail-on-quarantine" => args.fail_on_quarantine = true,
                 "--trace-out" => {
                     args.trace_out = Some(PathBuf::from(
@@ -248,13 +197,6 @@ impl Args {
                 "--resume" => {
                     args.journal = true;
                     args.resume = true;
-                }
-                "--abandoned-cap" => {
-                    args.abandoned_cap = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--abandoned-cap needs a count")),
-                    );
                 }
                 "--audit" => args.audit = true,
                 "--policy" => {
@@ -281,11 +223,6 @@ impl Args {
                             .unwrap_or_else(|| usage("--gen needs a canonical scenario string")),
                     );
                 }
-                "--server" => {
-                    args.server = Some(PathBuf::from(
-                        it.next().unwrap_or_else(|| usage("--server needs a socket path")),
-                    ));
-                }
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other}")),
             }
@@ -309,32 +246,22 @@ impl Args {
     }
 
     /// The sweep engine for this invocation: caching per `--cache-dir`/
-    /// `--no-cache`, `--jobs` workers, progress events on stderr, and
-    /// the hardening/fault-injection knobs.
+    /// `--no-cache`, `--jobs` workers, progress events on stderr, the
+    /// fault plan, the journal and window auditing.
     pub fn engine(&self) -> SweepEngine {
         let plan = self.fault_plan();
         if let Some(plan) = &plan {
             eprintln!("fault plan: {plan} (seed {})", plan.seed());
         }
-        let mut builder = SweepConfig::builder()
-            .workers(self.jobs)
-            .stream_events(true)
-            .retries(self.retries)
-            .retry_backoff(Duration::from_millis(self.retry_backoff_ms));
+        let mut builder = SweepConfig::builder().workers(self.jobs).stream_events(true);
         if let Some(dir) = &self.cache_dir {
             builder = builder.cache_dir(dir.clone());
-        }
-        if let Some(ms) = self.job_timeout_ms {
-            builder = builder.job_timeout(Duration::from_millis(ms));
         }
         if let Some(plan) = plan {
             builder = builder.fault_plan(plan);
         }
         if self.journal {
             builder = builder.journal(self.journal_path()).resume(self.resume);
-        }
-        if let Some(cap) = self.abandoned_cap {
-            builder = builder.abandoned_cap(cap);
         }
         builder = builder.window_audit(self.audit);
         let config = builder.build().unwrap_or_else(|e| usage(&e.to_string()));
@@ -393,93 +320,6 @@ impl Args {
         }
     }
 
-    /// The sweep session for this invocation: an in-process engine, or
-    /// — with `--server <socket>` — a thin client on the resident
-    /// daemon. `binary` names the invoking repro binary; together with
-    /// the sweep-defining flags it forms the stable session string the
-    /// daemon hashes into the journal identity, so re-running the same
-    /// invocation after a daemon restart resumes its journal.
-    pub fn session(&self, binary: &str) -> SweepSession {
-        let Some(socket) = &self.server else {
-            return SweepSession::Local(Box::new(self.engine()));
-        };
-        let conflicts: &[(&str, bool)] = &[
-            ("--journal/--resume", self.journal || self.resume),
-            ("--fault-seed", self.fault_seed.is_some()),
-            ("--fault-plan", self.fault_plan.is_some()),
-            ("--trace-out", self.trace_out.is_some()),
-            ("--metrics", self.metrics),
-            ("--audit", self.audit),
-            ("--job-timeout-ms", self.job_timeout_ms.is_some()),
-            ("--retries", self.retries > 0),
-            ("--abandoned-cap", self.abandoned_cap.is_some()),
-        ];
-        for (flag, set) in conflicts {
-            if *set {
-                usage(&format!("{flag} conflicts with --server (the daemon owns those knobs)"));
-            }
-        }
-        let session_string = format!(
-            "{binary}|scale={}|quick={}|policy={}|timing={}",
-            self.scale, self.quick, self.policy, self.timing
-        );
-        match ServeClient::connect(socket, &session_string) {
-            Ok(client) => {
-                eprintln!(
-                    "connected to sweep daemon at {} (session {})",
-                    socket.display(),
-                    client.session_id()
-                );
-                SweepSession::Remote(Mutex::new(client))
-            }
-            Err(e) => {
-                eprintln!("error: cannot reach sweep daemon: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// [`Args::finish`] for either kind of session: prints the sweep
-    /// summary and quarantine, then writes the `BENCH_sweep.json`
-    /// artifact — fetched from the daemon in `--server` mode, where its
-    /// bytes are identical to the in-process deterministic path.
-    pub fn finish_session(&self, session: &SweepSession) {
-        match session {
-            SweepSession::Local(engine) => self.finish(engine),
-            SweepSession::Remote(client) => {
-                let mut client = client.lock().unwrap_or_else(|e| e.into_inner());
-                let s = client.summary();
-                eprintln!(
-                    "sweep: {} jobs, {} cache hits, {} executed, {} quarantined",
-                    s.jobs, s.cache_hits, s.cache_misses, s.quarantined
-                );
-                for q in client.quarantine() {
-                    eprintln!(
-                        "  quarantined [{}] {} after {} attempts: {}",
-                        q.reason, q.label, q.attempts, q.detail
-                    );
-                }
-                let path = self.artifact_path();
-                if let Some(dir) = &self.out_dir {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("warning: cannot create {}: {e}", dir.display());
-                    }
-                }
-                match client.artifact() {
-                    Ok(data) => match regwin_sweep::write_file_atomic(&path, &data) {
-                        Ok(()) => eprintln!("wrote {}", path.display()),
-                        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-                    },
-                    Err(e) => eprintln!("warning: cannot fetch artifact: {e}"),
-                }
-                if self.fail_on_quarantine && s.quarantined > 0 {
-                    eprintln!("error: {} job(s) quarantined (--fail-on-quarantine)", s.quarantined);
-                    std::process::exit(3);
-                }
-            }
-        }
-    }
-
     /// The corpus spec for this invocation.
     pub fn corpus(&self) -> CorpusSpec {
         if self.scale == 100 {
@@ -516,60 +356,6 @@ impl Args {
     }
 }
 
-/// Where a repro binary's sweeps execute: an in-process
-/// [`SweepEngine`], or a [`ServeClient`] session on the resident
-/// daemon (`--server`). Records — and therefore every table, figure
-/// and artifact derived from them — are identical either way.
-#[derive(Debug)]
-pub enum SweepSession {
-    /// The classic in-process engine (boxed: the engine is much larger
-    /// than the client handle).
-    Local(Box<SweepEngine>),
-    /// A thin-client session on a `regwin-served` daemon.
-    Remote(Mutex<ServeClient>),
-}
-
-impl SweepSession {
-    /// Runs one matrix, locally or on the daemon.
-    ///
-    /// # Errors
-    ///
-    /// Local sweep errors propagate as-is; daemon-side failures
-    /// (including a graceful drain cutting the sweep short) surface as
-    /// [`RtError::BadConfig`] carrying the daemon's message.
-    pub fn run_matrix(&self, spec: &MatrixSpec) -> Result<Vec<RunRecord>, RtError> {
-        match self {
-            SweepSession::Local(engine) => engine.run_matrix(spec),
-            SweepSession::Remote(client) => client
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .run_matrix(spec)
-                .map_err(|e| RtError::BadConfig { detail: e.to_string() }),
-        }
-    }
-
-    /// The sweep summary so far (daemon-side state in `--server` mode).
-    pub fn summary(&self) -> SweepSummary {
-        match self {
-            SweepSession::Local(engine) => engine.summary(),
-            SweepSession::Remote(client) => {
-                client.lock().unwrap_or_else(|e| e.into_inner()).summary()
-            }
-        }
-    }
-
-    /// The quarantine list so far (daemon-side state in `--server`
-    /// mode).
-    pub fn quarantine(&self) -> Vec<QuarantineRecord> {
-        match self {
-            SweepSession::Local(engine) => engine.quarantine(),
-            SweepSession::Remote(client) => {
-                client.lock().unwrap_or_else(|e| e.into_inner()).quarantine()
-            }
-        }
-    }
-}
-
 fn usage(problem: &str) -> ! {
     if !problem.is_empty() {
         eprintln!("error: {problem}");
@@ -578,11 +364,10 @@ fn usage(problem: &str) -> ! {
         "usage: repro-* [--scale <pct>] [--quick] [--out <dir>] \
          [--jobs <n>] [--cache-dir <dir> | --no-cache] \
          [--fault-seed <u64>] [--fault-plan <kind@index,...>] \
-         [--job-timeout-ms <ms>] [--retries <n>] [--retry-backoff-ms <ms>] \
          [--fail-on-quarantine] [--trace-out <file>] [--metrics] \
-         [--journal] [--resume] [--abandoned-cap <n>] [--audit] \
+         [--journal] [--resume] [--audit] \
          [--policy <FIFO|WorkingSet|WindowGreedy|Aging>] \
-         [--timing <s20|pipeline>] [--gen <scenario>] [--server <socket>]"
+         [--timing <s20|pipeline>] [--gen <scenario>]"
     );
     std::process::exit(if problem.is_empty() { 0 } else { 2 });
 }

@@ -22,21 +22,31 @@
 //! The auditor is strictly opt-in ([`crate::Machine::enable_auditor`]);
 //! without it the machine behaves exactly as before, byte for byte.
 
-use crate::regfile::Frame;
+use crate::regfile::{Frame, REGS_PER_FRAME};
 use crate::window::WindowIndex;
 
-/// 64-bit FNV-1a over the 16 stored registers of a frame (ins then
-/// locals, little-endian bytes) — the integrity checksum used by the
-/// window auditor and the backing store.
-pub fn frame_checksum(frame: &Frame) -> u64 {
+/// 64-bit FNV-1a: the workspace's one integrity hash. It checksums
+/// register frames here, trace files in `regwin-rt`, and cache entries
+/// and journal lines in `regwin-sweep`, and it names sweep cache
+/// entries.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for r in frame.ins.iter().chain(frame.locals.iter()) {
-        for b in r.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// [`fnv1a`] over the 16 stored registers of a frame (ins then locals,
+/// little-endian bytes) — the integrity checksum used by the window
+/// auditor and the backing store.
+pub fn frame_checksum(frame: &Frame) -> u64 {
+    let mut bytes = [0u8; REGS_PER_FRAME * 8];
+    for (chunk, r) in bytes.chunks_exact_mut(8).zip(frame.ins.iter().chain(&frame.locals)) {
+        chunk.copy_from_slice(&r.to_le_bytes());
+    }
+    fnv1a(&bytes)
 }
 
 /// What the auditor knows about one physical window.
@@ -222,6 +232,12 @@ impl WindowAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn frame_checksum_matches_fnv_reference_on_zeroes() {

@@ -73,7 +73,7 @@ mod timing;
 mod trap;
 mod window;
 
-pub use audit::{frame_checksum, WindowAuditor, WindowTag};
+pub use audit::{fnv1a, frame_checksum, WindowAuditor, WindowTag};
 pub use backing::BackingStore;
 pub use cost::{CostModel, CycleCategory, CycleCounter, SchemeKind, SwitchCost};
 pub use error::MachineError;

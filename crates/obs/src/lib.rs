@@ -49,5 +49,4 @@ pub use histogram::Histogram;
 pub use metric::{AtomicMetricSet, Metric, MetricSet};
 pub use probe::{
     MetricProbe, NoopProbe, OwnedProbeEvent, Probe, ProbeEvent, RecordingProbe, SpanKind,
-    StreamProbe,
 };

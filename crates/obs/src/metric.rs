@@ -64,9 +64,7 @@ pub enum Metric {
     CacheHits,
     /// Sweep jobs actually simulated.
     CacheMisses,
-    /// Retry attempts after a failed sweep-job attempt.
-    JobRetries,
-    /// Sweep jobs quarantined after exhausting every attempt.
+    /// Sweep jobs quarantined (their attempt panicked or failed).
     JobsQuarantined,
     /// Corrupted-but-clean windows repaired by the window auditor from
     /// the backing stack.
@@ -74,9 +72,6 @@ pub enum Metric {
     /// Simulated threads quarantined by the runtime after unrecoverable
     /// window corruption.
     ThreadsQuarantined,
-    /// Timed-out job attempts whose detached worker thread was
-    /// abandoned (left running, never joined).
-    AbandonedThreads,
     /// Shared-bus transactions granted to a PE (cluster runs only).
     BusGrants,
     /// Cycles a PE lost to the shared bus: arbitration contention on
@@ -96,7 +91,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in canonical serialization order.
-    pub const ALL: [Metric; 34] = [
+    pub const ALL: [Metric; 32] = [
         Metric::SavesExecuted,
         Metric::RestoresExecuted,
         Metric::OverflowTraps,
@@ -121,11 +116,9 @@ impl Metric {
         Metric::StreamBytesWritten,
         Metric::CacheHits,
         Metric::CacheMisses,
-        Metric::JobRetries,
         Metric::JobsQuarantined,
         Metric::WindowRepairs,
         Metric::ThreadsQuarantined,
-        Metric::AbandonedThreads,
         Metric::BusGrants,
         Metric::BusStallCycles,
         Metric::CrossPeMessages,
@@ -160,11 +153,9 @@ impl Metric {
             Metric::StreamBytesWritten => "stream_bytes_written",
             Metric::CacheHits => "cache_hits",
             Metric::CacheMisses => "cache_misses",
-            Metric::JobRetries => "job_retries",
             Metric::JobsQuarantined => "jobs_quarantined",
             Metric::WindowRepairs => "window_repairs",
             Metric::ThreadsQuarantined => "threads_quarantined",
-            Metric::AbandonedThreads => "abandoned_threads",
             Metric::BusGrants => "bus_grants",
             Metric::BusStallCycles => "bus_stall_cycles",
             Metric::CrossPeMessages => "cross_pe_messages",

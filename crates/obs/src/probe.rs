@@ -243,91 +243,6 @@ impl Probe for MetricProbe {
     }
 }
 
-/// A forwarding sink: renders each event to one deterministic JSONL
-/// line (via [`crate::jsonl::Row`]) and hands it to a caller-supplied
-/// closure — a socket writer, a log file, a channel.
-///
-/// This is the streaming half of sweep-as-a-service: the daemon
-/// installs a `StreamProbe` whose sink writes `event` frames to the
-/// client connection, so a thin client watches job progress live. The
-/// sink is called under a mutex, so a slow consumer (a full socket
-/// buffer) back-pressures the emitting workers instead of growing an
-/// unbounded queue.
-///
-/// By default only [`SpanKind::Job`] spans are forwarded — per-trap and
-/// per-switch events fire on the simulation hot path and would swamp
-/// any socket; use [`StreamProbe::all_events`] for local diagnostics.
-pub struct StreamProbe {
-    sink: Mutex<StreamSink>,
-    jobs_only: bool,
-}
-
-/// The boxed consumer a [`StreamProbe`] forwards rendered lines to.
-type StreamSink = Box<dyn FnMut(&str) + Send>;
-
-impl fmt::Debug for StreamProbe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StreamProbe").field("jobs_only", &self.jobs_only).finish_non_exhaustive()
-    }
-}
-
-impl StreamProbe {
-    /// A probe forwarding only job-level span events to `sink` (the
-    /// right setting for streaming over a socket).
-    pub fn new(sink: impl FnMut(&str) + Send + 'static) -> Self {
-        StreamProbe { sink: Mutex::new(Box::new(sink)), jobs_only: true }
-    }
-
-    /// A probe forwarding *every* event to `sink`. The hot-path volume
-    /// is enormous; intended for tests and local diagnostics only.
-    pub fn all_events(sink: impl FnMut(&str) + Send + 'static) -> Self {
-        StreamProbe { sink: Mutex::new(Box::new(sink)), jobs_only: false }
-    }
-
-    /// Renders one event as a deterministic JSONL line (no newline).
-    pub fn render(event: &ProbeEvent<'_>) -> String {
-        match *event {
-            ProbeEvent::SpanStart { kind, name } => crate::jsonl::Row::new()
-                .str("ev", "start")
-                .str("kind", kind.name())
-                .str("name", name)
-                .finish(),
-            ProbeEvent::SpanEnd { kind, name, cycles } => crate::jsonl::Row::new()
-                .str("ev", "end")
-                .str("kind", kind.name())
-                .str("name", name)
-                .int("cycles", cycles)
-                .finish(),
-            ProbeEvent::Counter { metric, delta } => crate::jsonl::Row::new()
-                .str("ev", "counter")
-                .str("metric", metric.name())
-                .int("delta", delta)
-                .finish(),
-            ProbeEvent::Gauge { name, value } => crate::jsonl::Row::new()
-                .str("ev", "gauge")
-                .str("name", name)
-                .int("value", value)
-                .finish(),
-        }
-    }
-}
-
-impl Probe for StreamProbe {
-    fn record(&self, event: &ProbeEvent<'_>) {
-        if self.jobs_only
-            && !matches!(
-                event,
-                ProbeEvent::SpanStart { kind: SpanKind::Job, .. }
-                    | ProbeEvent::SpanEnd { kind: SpanKind::Job, .. }
-            )
-        {
-            return;
-        }
-        let line = Self::render(event);
-        (self.sink.lock().unwrap_or_else(|e| e.into_inner()))(&line);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,47 +281,6 @@ mod tests {
         let snap = p.snapshot();
         assert_eq!(snap.get(Metric::CyclesApp), 15);
         assert_eq!(snap.iter_nonzero().count(), 1);
-    }
-
-    #[test]
-    fn stream_probe_forwards_job_spans_as_jsonl_lines() {
-        let lines = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let sink = {
-            let lines = std::sync::Arc::clone(&lines);
-            move |line: &str| lines.lock().unwrap().push(line.to_string())
-        };
-        let p = StreamProbe::new(sink);
-        p.record(&ProbeEvent::SpanStart { kind: SpanKind::Job, name: "SP FIFO w=8" });
-        p.record(&ProbeEvent::Counter { metric: Metric::Dispatches, delta: 7 });
-        p.record(&ProbeEvent::SpanEnd { kind: SpanKind::Trap, name: "overflow", cycles: 93 });
-        p.record(&ProbeEvent::SpanEnd { kind: SpanKind::Job, name: "SP FIFO w=8", cycles: 0 });
-        assert_eq!(
-            *lines.lock().unwrap(),
-            vec![
-                r#"{"ev":"start","kind":"job","name":"SP FIFO w=8"}"#.to_string(),
-                r#"{"ev":"end","kind":"job","name":"SP FIFO w=8","cycles":0}"#.to_string(),
-            ],
-            "only job spans pass the socket filter"
-        );
-    }
-
-    #[test]
-    fn stream_probe_all_events_renders_every_variant() {
-        let lines = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let sink = {
-            let lines = std::sync::Arc::clone(&lines);
-            move |line: &str| lines.lock().unwrap().push(line.to_string())
-        };
-        let p = StreamProbe::all_events(sink);
-        p.record(&ProbeEvent::Counter { metric: Metric::Dispatches, delta: 7 });
-        p.record(&ProbeEvent::Gauge { name: "ready_queue_depth", value: 3 });
-        assert_eq!(
-            *lines.lock().unwrap(),
-            vec![
-                r#"{"ev":"counter","metric":"dispatches","delta":7}"#.to_string(),
-                r#"{"ev":"gauge","name":"ready_queue_depth","value":3}"#.to_string(),
-            ]
-        );
     }
 
     #[test]

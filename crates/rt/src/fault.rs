@@ -9,9 +9,9 @@
 //! * **stream faults** fail the N-th stream byte read or write with a
 //!   typed [`crate::RtError::FaultInjected`], before the byte is
 //!   transferred;
-//! * **worker faults** target the sweep engine: panic or stall the
-//!   worker executing the N-th job, exercising its `catch_unwind` /
-//!   timeout / quarantine machinery.
+//! * **worker faults** target the sweep engine: panic the worker
+//!   executing the N-th job, exercising its `catch_unwind` /
+//!   quarantine machinery.
 //!
 //! Faults are *masked* (spill/fill corruption: the run must still
 //! produce byte-identical reported numbers, because reports contain
@@ -52,14 +52,7 @@ pub enum FaultKind {
     /// (unmasked). Fires *before* the transfer: nothing is buffered.
     StreamWriteFail,
     /// Panic the sweep worker executing the N-th job (quarantined).
-    /// Worker faults are per *job*, not per attempt — every retry would
-    /// fail identically, so the engine makes a single attempt.
     WorkerPanic,
-    /// Stall the sweep worker executing the N-th job past its timeout
-    /// (quarantined; per-job like [`FaultKind::WorkerPanic`]). Only
-    /// observable when a job timeout is configured — the engine warns
-    /// otherwise.
-    WorkerStall,
     /// XOR the live window made current by the N-th executed `save`, in
     /// place, after the save completes. A bit-flip in a *dirty* resident
     /// frame: no pristine copy exists, so with window auditing enabled
@@ -70,7 +63,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// All kinds, in canonical order.
-    pub const ALL: [FaultKind; 10] = [
+    pub const ALL: [FaultKind; 9] = [
         FaultKind::SpillCorrupt,
         FaultKind::SpillFail,
         FaultKind::FillCorrupt,
@@ -79,7 +72,6 @@ impl FaultKind {
         FaultKind::StreamReadFail,
         FaultKind::StreamWriteFail,
         FaultKind::WorkerPanic,
-        FaultKind::WorkerStall,
         FaultKind::ResidentCorrupt,
     ];
 
@@ -94,7 +86,6 @@ impl FaultKind {
             FaultKind::StreamReadFail => "stream-read-fail",
             FaultKind::StreamWriteFail => "stream-write-fail",
             FaultKind::WorkerPanic => "panic",
-            FaultKind::WorkerStall => "stall",
             FaultKind::ResidentCorrupt => "resident-corrupt",
         }
     }
@@ -113,7 +104,7 @@ impl FaultKind {
     /// Whether this fault targets the sweep worker rather than the
     /// simulation itself.
     pub fn is_worker(self) -> bool {
-        matches!(self, FaultKind::WorkerPanic | FaultKind::WorkerStall)
+        self == FaultKind::WorkerPanic
     }
 }
 
@@ -244,8 +235,6 @@ impl fmt::Display for FaultEvent {
 pub enum WorkerFault {
     /// Panic inside the worker (caught by the engine's `catch_unwind`).
     Panic,
-    /// Sleep past the job's wall-clock timeout.
-    Stall,
 }
 
 /// A deterministic, seeded plan of faults to inject into a run.
@@ -267,9 +256,9 @@ impl FaultPlan {
     }
 
     /// Derives a small deterministic plan from `seed`: one masked spill
-    /// corruption, one masked fill corruption, one worker panic and one
-    /// worker stall, at seed-dependent event indices. The same seed
-    /// always produces the same plan.
+    /// corruption, one masked fill corruption and one worker panic, at
+    /// seed-dependent event indices. The same seed always produces the
+    /// same plan.
     pub fn from_seed(seed: u64) -> Self {
         let mut state = seed;
         let mut next = || splitmix64(&mut state);
@@ -279,13 +268,12 @@ impl FaultPlan {
                 FaultEvent { kind: FaultKind::SpillCorrupt, at: next() % 32, pe: 0 },
                 FaultEvent { kind: FaultKind::FillCorrupt, at: next() % 32, pe: 0 },
                 FaultEvent { kind: FaultKind::WorkerPanic, at: next() % 8, pe: 0 },
-                FaultEvent { kind: FaultKind::WorkerStall, at: next() % 8, pe: 0 },
             ],
         }
     }
 
     /// Parses a comma-separated `kind@index` spec, e.g.
-    /// `"spill-corrupt@12,panic@1,stall@2"`. Kind names are the
+    /// `"spill-corrupt@12,panic@1,fill-fail@2"`. Kind names are the
     /// [`FaultKind::name`] strings. An entry may carry a
     /// space-separated `pe:N` qualifier (e.g. `"spill-corrupt@3 pe:2"`)
     /// targeting a specific cluster PE; unqualified entries target
@@ -453,18 +441,12 @@ impl FaultPlan {
             .collect()
     }
 
-    /// The worker fault (if any) targeting sweep job number `seq`. When
-    /// both a panic and a stall target the same job, the panic wins.
+    /// The worker fault (if any) targeting sweep job number `seq`.
     pub fn worker_fault_at(&self, seq: u64) -> Option<WorkerFault> {
-        let mut found = None;
-        for e in &self.events {
-            match e.kind {
-                FaultKind::WorkerPanic if e.at == seq => return Some(WorkerFault::Panic),
-                FaultKind::WorkerStall if e.at == seq => found = Some(WorkerFault::Stall),
-                _ => {}
-            }
-        }
-        found
+        self.events
+            .iter()
+            .any(|e| e.kind == FaultKind::WorkerPanic && e.at == seq)
+            .then_some(WorkerFault::Panic)
     }
 
     /// The nonzero corruption mask for the event at index `at`, derived
@@ -502,8 +484,8 @@ mod tests {
 
     #[test]
     fn parse_round_trips_canonical() {
-        let plan = FaultPlan::parse("spill-corrupt@12, panic@1,stall@2").unwrap();
-        assert_eq!(plan.canonical(), "spill-corrupt@12,panic@1,stall@2");
+        let plan = FaultPlan::parse("spill-corrupt@12, panic@1,fill-fail@2").unwrap();
+        assert_eq!(plan.canonical(), "spill-corrupt@12,panic@1,fill-fail@2");
         let again = FaultPlan::parse(&plan.canonical()).unwrap();
         assert_eq!(plan, again);
         assert!(plan.has_sim_faults());
@@ -597,11 +579,19 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_wins_over_stall_on_same_job() {
-        let plan = FaultPlan::new()
-            .with_event(FaultKind::WorkerStall, 3)
-            .with_event(FaultKind::WorkerPanic, 3);
-        assert_eq!(plan.worker_fault_at(3), Some(WorkerFault::Panic));
+    fn from_seed_keeps_its_first_three_draws() {
+        // A seed names a plan in recorded reproducers, so its events
+        // must stay the first three splitmix64 draws of that seed.
+        assert_eq!(FaultPlan::from_seed(42).canonical(), "spill-corrupt@21,fill-corrupt@3,panic@2");
+    }
+
+    #[test]
+    fn retired_stall_kind_is_an_unknown_kind() {
+        let kind = "stall";
+        assert_eq!(
+            FaultPlan::parse(&format!("{kind}@2")).unwrap_err(),
+            FaultPlanError::UnknownKind { kind: kind.into() },
+        );
     }
 
     #[test]

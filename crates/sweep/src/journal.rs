@@ -272,12 +272,12 @@ fn decode_job(payload: &Value) -> Option<(JobRecord, RunReport)> {
 
 fn decode_quarantine(payload: &Value) -> Option<QuarantineRecord> {
     // `reason` needs a `&'static str`; map through the known set so a
-    // hand-edited journal cannot smuggle in an arbitrary string.
+    // hand-edited journal cannot smuggle in an arbitrary string. Any
+    // other reason (including the retired `timeout` and `abandoned-cap`)
+    // skips the line, so a resume re-runs the job.
     let reason = match payload.get("reason")?.as_str()? {
         "panic" => "panic",
-        "timeout" => "timeout",
         "error" => "error",
-        "abandoned-cap" => "abandoned-cap",
         _ => return None,
     };
     Some(QuarantineRecord {
@@ -328,9 +328,9 @@ mod tests {
                 id: "beef".into(),
                 key: "v2|exp=bad".into(),
                 label: "NS w=4".into(),
-                reason: "timeout",
-                attempts: 3,
-                detail: "exceeded 100ms".into(),
+                reason: "panic",
+                attempts: 1,
+                detail: "injected worker panic (job seq 0)".into(),
                 repro: "key='v2|exp=bad' audit=0 plan='-' planseed=0x0".into(),
             })
             .unwrap();
@@ -341,7 +341,7 @@ mod tests {
         assert_eq!(rec.total_cycles, record.total_cycles);
         assert_eq!(rep, &report);
         assert_eq!(replay.quarantined.len(), 1);
-        assert_eq!(replay.quarantined[0].reason, "timeout");
+        assert_eq!(replay.quarantined[0].reason, "panic");
         assert_eq!(replay.quarantined[0].repro, "key='v2|exp=bad' audit=0 plan='-' planseed=0x0");
         let _ = std::fs::remove_file(&path);
     }

@@ -9,6 +9,10 @@
 
 use regwin_core::{Behavior, MatrixSpec};
 use regwin_machine::{SchemeKind, TimingKind};
+
+/// 64-bit FNV-1a (defined in `regwin-machine`): names cache entries and
+/// checksums cache/journal payloads.
+pub use regwin_machine::fnv1a;
 use regwin_rt::SchedulingPolicy;
 use regwin_spell::CorpusSpec;
 
@@ -118,18 +122,6 @@ impl JobKey {
     }
 }
 
-/// 64-bit FNV-1a — names cache entries and checksums cache/journal
-/// payloads. Public so thin clients can derive stable ids (e.g. a
-/// sweep-service session id) with the exact hash the engine uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,12 +184,5 @@ mod tests {
         let b = JobKey::for_cell(&s, s.behaviors[0], SchemeKind::Snp, 16);
         assert_eq!(a.id(), b.id());
         assert_eq!(a.canonical(), b.canonical());
-    }
-
-    #[test]
-    fn fnv_matches_reference_vector() {
-        // Standard FNV-1a test vector: "a" -> 0xaf63dc4c8601ec8c.
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

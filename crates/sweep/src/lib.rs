@@ -52,7 +52,6 @@
 
 pub mod cache;
 pub mod engine;
-pub mod gate;
 pub mod journal;
 pub mod json;
 pub mod key;
@@ -65,7 +64,6 @@ pub use engine::{
     records_to_json, write_file_atomic, Job, JobRecord, QuarantineRecord, SweepConfig,
     SweepConfigBuilder, SweepConfigError, SweepEngine, SweepSummary,
 };
-pub use gate::{AdmissionGate, GateClosed, GateTicket};
 pub use journal::{replay_journal, JournalOpenError, JournalReplay, SweepJournal};
 pub use key::{fnv1a, JobKey, FORMAT_VERSION};
 pub use lock::DirLock;

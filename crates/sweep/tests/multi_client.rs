@@ -2,16 +2,17 @@
 //! cache directory with overlapping keys — concurrently, and with a
 //! vandal corrupting entries mid-flight — and every client must still
 //! produce a byte-identical deterministic artifact, with zero
-//! good-entries destroyed.
+//! good-entries destroyed. Each engine journals to its own path, which
+//! is what makes its artifact deterministic (independent of cache
+//! state and timing).
 
 use regwin_core::{Behavior, Concurrency, Granularity, MatrixSpec};
 use regwin_machine::{SchemeKind, TimingKind};
 use regwin_rt::SchedulingPolicy;
 use regwin_spell::CorpusSpec;
-use regwin_sweep::{AdmissionGate, JobKey, ResultCache, SweepConfig, SweepEngine};
-use std::path::PathBuf;
+use regwin_sweep::{JobKey, ResultCache, SweepConfig, SweepEngine};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 fn shared_spec() -> MatrixSpec {
     MatrixSpec {
@@ -39,6 +40,18 @@ fn spec_keys(spec: &MatrixSpec) -> Vec<JobKey> {
     keys
 }
 
+/// A journaled (hence deterministic-artifact) engine config with two
+/// workers, journaling to `journal` and caching in `cache` if given.
+fn client_config(journal: &Path, cache: Option<&Path>) -> SweepConfig {
+    let builder = SweepConfig::builder().journal(journal).workers(2);
+    match cache {
+        Some(dir) => builder.cache_dir(dir),
+        None => builder,
+    }
+    .build()
+    .unwrap()
+}
+
 fn tmpdir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("regwin-multi-client-{tag}-{}", std::process::id()));
@@ -50,35 +63,25 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn n_clients_hammering_one_cache_dir_agree_byte_for_byte() {
     const CLIENTS: usize = 4;
     let dir = tmpdir("hammer");
+    let journals = tmpdir("hammer-journals");
     let spec = shared_spec();
 
     // The ground truth: a lone cold engine with no cache at all.
-    let reference = SweepEngine::with_config(
-        SweepConfig::builder().deterministic_artifact(true).workers(2).build().unwrap(),
-    );
+    let reference =
+        SweepEngine::with_config(client_config(&journals.join("reference.jsonl"), None));
     reference.run_matrix(&spec).unwrap();
     let want_artifact = reference.artifact_value().to_json();
     let want_trace = reference.trace_string();
 
-    // N clients over one shared cache dir and one admission gate, all
-    // sweeping the same (fully overlapping) key set concurrently.
-    let gate = Arc::new(AdmissionGate::new(4));
+    // N clients over one shared cache dir, all sweeping the same (fully
+    // overlapping) key set concurrently.
     let artifacts: Vec<(String, String, usize)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
-            .map(|session| {
-                let dir = &dir;
-                let spec = &spec;
-                let gate = Arc::clone(&gate);
+            .map(|client| {
+                let (dir, journals, spec) = (&dir, &journals, &spec);
                 scope.spawn(move || {
-                    let engine = SweepEngine::with_config(
-                        SweepConfig::builder()
-                            .cache_dir(dir)
-                            .deterministic_artifact(true)
-                            .admission(gate, session as u64)
-                            .workers(2)
-                            .build()
-                            .unwrap(),
-                    );
+                    let journal = journals.join(format!("client-{client}.jsonl"));
+                    let engine = SweepEngine::with_config(client_config(&journal, Some(dir)));
                     engine.run_matrix(spec).unwrap();
                     (
                         engine.artifact_value().to_json(),
@@ -101,18 +104,19 @@ fn n_clients_hammering_one_cache_dir_agree_byte_for_byte() {
         assert!(cache.load(&key).is_some(), "entry {} must survive the hammer", key.canonical());
     }
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&journals);
 }
 
 #[test]
 fn a_vandal_corrupting_entries_mid_sweep_cannot_destroy_fresh_results() {
     let dir = tmpdir("vandal");
+    let journals = tmpdir("vandal-journals");
     let spec = shared_spec();
     let keys = spec_keys(&spec);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let reference = SweepEngine::with_config(
-        SweepConfig::builder().deterministic_artifact(true).workers(2).build().unwrap(),
-    );
+    let reference =
+        SweepEngine::with_config(client_config(&journals.join("reference.jsonl"), None));
     reference.run_matrix(&spec).unwrap();
     let want_artifact = reference.artifact_value().to_json();
 
@@ -135,17 +139,11 @@ fn a_vandal_corrupting_entries_mid_sweep_cannot_destroy_fresh_results() {
             })
         };
         let clients: Vec<_> = (0..2)
-            .map(|_| {
-                let (dir, spec) = (&dir, &spec);
+            .map(|client| {
+                let (dir, journals, spec) = (&dir, &journals, &spec);
                 scope.spawn(move || {
-                    let engine = SweepEngine::with_config(
-                        SweepConfig::builder()
-                            .cache_dir(dir)
-                            .deterministic_artifact(true)
-                            .workers(2)
-                            .build()
-                            .unwrap(),
-                    );
+                    let journal = journals.join(format!("client-{client}.jsonl"));
+                    let engine = SweepEngine::with_config(client_config(&journal, Some(dir)));
                     engine.run_matrix(spec).unwrap();
                     (engine.artifact_value().to_json(), engine.quarantine().len())
                 })
@@ -164,7 +162,11 @@ fn a_vandal_corrupting_entries_mid_sweep_cannot_destroy_fresh_results() {
     // vandal's last scribbles may linger, but reclaim only ever deletes
     // invalid bytes, so a final sweep repopulates every slot).
     let repopulate = SweepEngine::with_config(
-        SweepConfig::builder().cache_dir(&dir).deterministic_artifact(true).build().unwrap(),
+        SweepConfig::builder()
+            .cache_dir(&dir)
+            .journal(journals.join("repopulate.jsonl"))
+            .build()
+            .unwrap(),
     );
     repopulate.run_matrix(&spec).unwrap();
     let cache = ResultCache::new(&dir);
@@ -172,4 +174,5 @@ fn a_vandal_corrupting_entries_mid_sweep_cannot_destroy_fresh_results() {
         assert!(cache.load(key).is_some(), "slot {} must be whole again", key.canonical());
     }
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&journals);
 }

@@ -1,15 +1,15 @@
-//! Sweep-engine hardening: injected worker panics and stalls must not
-//! abort the sweep — every other cell completes, and the failures land
-//! in the quarantine section of the artifact with their canonical keys.
-//! A hardened engine with no faults must produce byte-identical records
-//! to the plain engine, and masked simulation faults must too.
+//! Sweep-engine hardening: injected worker panics and unmasked
+//! simulation faults must not abort the sweep — every other cell
+//! completes, and the failures land in the quarantine section of the
+//! artifact with their canonical keys. A hardened engine with no faults
+//! must produce byte-identical records to the plain engine, and masked
+//! simulation faults must too.
 
 use regwin_core::{Behavior, Concurrency, Granularity, MatrixSpec};
 use regwin_core::{CorpusSpec, SchedulingPolicy, SchemeKind};
 use regwin_machine::TimingKind;
 use regwin_rt::FaultPlan;
 use regwin_sweep::{records_to_json, SweepConfig, SweepEngine};
-use std::time::Duration;
 
 fn spec() -> MatrixSpec {
     MatrixSpec {
@@ -23,32 +23,27 @@ fn spec() -> MatrixSpec {
 }
 
 fn hardened(plan: Option<FaultPlan>) -> SweepEngine {
-    SweepEngine::with_config(SweepConfig {
-        workers: 2,
-        job_timeout: Some(Duration::from_millis(2000)),
-        retries: 1,
-        retry_backoff: Duration::from_millis(5),
-        fault_plan: plan,
-        ..SweepConfig::default()
-    })
+    SweepEngine::with_config(SweepConfig { workers: 2, fault_plan: plan, ..SweepConfig::default() })
 }
 
 #[test]
-fn injected_panic_and_stall_quarantine_without_aborting_the_sweep() {
+fn injected_panic_and_unmasked_fault_quarantine_without_aborting_the_sweep() {
     let spec = spec();
     let clean = SweepEngine::quiet().run_matrix(&spec).unwrap();
     assert_eq!(clean.len(), 4);
 
     // Job sequence numbers follow cell order: seq 1 is the 6-window
-    // cell, seq 2 the 8-window cell.
-    let plan = FaultPlan::parse("panic@1,stall@2").unwrap();
+    // cell. The spill failure fires in every cell that reaches its
+    // 2501st backing-store spill: the 4- and 8-window cells do, the
+    // 12-window cell finishes first.
+    let plan = FaultPlan::parse("panic@1,spill-fail@2500").unwrap();
     let engine = hardened(Some(plan));
     let records = engine.run_matrix(&spec).unwrap();
 
-    // The two healthy cells completed and match the clean run exactly.
+    // The healthy cell completed and matches the clean run exactly.
     assert_eq!(
         records.iter().map(|r| r.nwindows).collect::<Vec<_>>(),
-        vec![4, 12],
+        vec![12],
         "only the faulted cells may be missing"
     );
     for record in &records {
@@ -56,26 +51,30 @@ fn injected_panic_and_stall_quarantine_without_aborting_the_sweep() {
         assert_eq!(record.report, reference.report);
     }
 
-    // Both failures are quarantined, with their reasons, attempt counts
-    // and canonical keys.
-    let quarantine = engine.quarantine();
-    assert_eq!(quarantine.len(), 2);
-    let panic = quarantine.iter().find(|q| q.reason == "panic").unwrap();
-    let timeout = quarantine.iter().find(|q| q.reason == "timeout").unwrap();
-    // Injected worker faults are deterministic per job, so the engine
-    // makes a single attempt instead of burning the configured retry.
-    assert_eq!(panic.attempts, 1);
-    assert_eq!(timeout.attempts, 1);
-    assert!(panic.key.contains("|w=6|"), "panic hit the 6-window cell: {}", panic.key);
-    assert!(timeout.key.contains("|w=8|"), "stall hit the 8-window cell: {}", timeout.key);
-    assert!(panic.detail.contains("injected worker panic"), "{}", panic.detail);
-    assert!(timeout.detail.contains("wall-clock"), "{}", timeout.detail);
-    assert_eq!(engine.summary().quarantined, 2);
+    // Every failure is quarantined after a single attempt, with its
+    // reason, canonical key and detail.
+    let mut quarantine = engine.quarantine();
+    quarantine.sort_by(|a, b| a.key.cmp(&b.key));
+    let found: Vec<(&str, &str)> = quarantine
+        .iter()
+        .map(|q| (q.reason, q.key.split('|').find(|f| f.starts_with("w=")).unwrap()))
+        .collect();
+    assert_eq!(found, vec![("error", "w=4"), ("panic", "w=6"), ("error", "w=8")]);
+    for q in &quarantine {
+        assert_eq!(q.attempts, 1, "{}", q.key);
+        let want = if q.reason == "panic" {
+            "injected worker panic"
+        } else {
+            "injected fault at spill event 2500"
+        };
+        assert!(q.detail.contains(want), "{}: {}", q.key, q.detail);
+    }
+    assert_eq!(engine.summary().quarantined, 3);
 
     // The artifact carries the quarantine section.
     let artifact = engine.artifact_value();
-    assert_eq!(artifact.get("quarantined").unwrap().as_u64(), Some(2));
-    assert_eq!(artifact.get("quarantine").unwrap().as_arr().unwrap().len(), 2);
+    assert_eq!(artifact.get("quarantined").unwrap().as_u64(), Some(3));
+    assert_eq!(artifact.get("quarantine").unwrap().as_arr().unwrap().len(), 3);
 }
 
 #[test]

@@ -64,7 +64,6 @@ pub use regwin_core as core;
 pub use regwin_gen as gen;
 pub use regwin_machine as machine;
 pub use regwin_rt as rt;
-pub use regwin_serve as serve;
 pub use regwin_spell as spell;
 pub use regwin_sweep as sweep;
 pub use regwin_traps as traps;
